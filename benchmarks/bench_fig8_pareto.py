@@ -1,7 +1,7 @@
 """Figure 8: index size vs query time (Flood pushes the Pareto frontier).
 
 Regenerates the size/time table per dataset and times Flood's size
-accounting (cell table + flattening RMIs + per-cell PLMs).
+accounting (cell table + flattening RMIs + refinement key).
 """
 
 from repro.bench import experiments

@@ -4,12 +4,12 @@
   the sort dimension) and per-grid-dimension column counts (Section 3.1).
 - :mod:`repro.core.flatten` -- per-attribute CDF flattening so each column
   holds equal mass (Section 5.1).
-- :mod:`repro.core.index` -- the Flood index: projection, per-cell PLM
+- :mod:`repro.core.index` -- the Flood index: projection, sort-dimension
   refinement, and scan (Sections 3.2 and 5.2).
 - :mod:`repro.core.protocol` -- the queryable-index protocol the engine
   and serving stack program against (plain, sharded, or delta-buffered).
 - :mod:`repro.core.engine` -- throughput-mode batch execution of query
-  workloads (vectorized plans, shared enumeration cache, worker pool).
+  workloads (vectorized plans, worker pool).
 - :mod:`repro.core.shard` -- intra-query parallelism: the clustered table
   split into storage-contiguous shards so one query's scan fans out
   across cores.

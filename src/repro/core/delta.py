@@ -344,15 +344,9 @@ class DeltaBufferedFlood:
         )
 
     # ------------------------------------------------------------------ query
-    def query(
-        self, query: Query, visitor: Visitor, enum_cache: dict | None = None
-    ) -> QueryStats:
-        """Query the main index, then scan the delta buffer brute-force.
-
-        ``enum_cache`` is the engine's shared enumeration memo, forwarded
-        to the inner index (the protocol surface the batch engine needs).
-        """
-        stats = self._index.query(query, visitor, enum_cache=enum_cache)
+    def query(self, query: Query, visitor: Visitor) -> QueryStats:
+        """Query the main index, then scan the delta buffer brute-force."""
+        stats = self._index.query(query, visitor)
         return self._scan_buffer(query, visitor, stats)
 
     def query_percell(self, query: Query, visitor: Visitor) -> QueryStats:

@@ -308,10 +308,8 @@ class DurableDeltaFlood:
     def buffered_rows(self) -> int:
         return self._delta.buffered_rows
 
-    def query(
-        self, query: Query, visitor: Visitor, enum_cache: dict | None = None
-    ) -> QueryStats:
-        return self._delta.query(query, visitor, enum_cache=enum_cache)
+    def query(self, query: Query, visitor: Visitor) -> QueryStats:
+        return self._delta.query(query, visitor)
 
     def query_percell(self, query: Query, visitor: Visitor) -> QueryStats:
         return self._delta.query_percell(query, visitor)

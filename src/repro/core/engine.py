@@ -1,13 +1,11 @@
 """Throughput-mode batch query execution over a Flood index.
 
 The single-query path (:meth:`FloodIndex.query`) optimizes latency; this
-module optimizes aggregate throughput for serving many queries: plans are
-built through a shared enumeration cache (queries that project to the same
-column ranges reuse one vectorized cell enumeration), per-query state is
-kept in reusable buffers, and an optional worker pool parallelizes across
-queries — the numpy kernels (plan gather, lock-step refinement, gathered
-scans) release the GIL for their heavy lifting, so threads scale on
-multicore without sharding the table. For parallelism *within* one large
+module optimizes aggregate throughput for serving many queries: an
+optional worker pool parallelizes across queries — the numpy kernels
+(plan slicing, ``searchsorted`` refinement, gathered scans) release the
+GIL for their heavy lifting, so threads scale on multicore without
+sharding the table. For parallelism *within* one large
 query, pair the engine with :class:`~repro.core.shard.ShardedFloodIndex`;
 for serving concurrent clients, put :mod:`repro.serve` in front of it.
 
@@ -18,8 +16,6 @@ per-cell loop) query by query.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -28,82 +24,6 @@ from repro.core.protocol import require_queryable
 from repro.errors import QueryError
 from repro.query.stats import QueryStats, WorkloadResult
 from repro.storage.visitor import CountVisitor, Visitor
-
-#: Enumeration-cache entry cap: bounds engine memory for long-running
-#: serving processes whose queries keep projecting to new column ranges.
-_MAX_CACHE_ENTRIES = 1024
-
-
-class LRUEnumCache:
-    """Bounded LRU memo for plan enumerations, with eviction accounting.
-
-    Duck-types the two operations :meth:`FloodIndex.plan` performs on its
-    ``enum_cache`` — ``get(key)`` and ``cache[key] = value`` — so it
-    drops in where a plain dict was. Under an adaptive or shifting
-    workload the projected-column-range key space is unbounded; a plain
-    dict grows without limit, and the engine's old FIFO trim evicted the
-    *oldest insert*, which is exactly the entry a stable working set
-    keeps reusing. LRU keeps the working set hot and the
-    hit/miss/eviction counters make cache health observable (server
-    stats op, ``engine_cache`` block).
-
-    Thread-safe: engine workers share one cache; every operation holds
-    the lock (entries are immutable once stored, so readers never see a
-    partially-built value either way — the lock protects the OrderedDict
-    reordering, which *is* a mutation on every hit).
-    """
-
-    def __init__(self, capacity: int = _MAX_CACHE_ENTRIES):
-        if int(capacity) < 1:
-            raise QueryError(f"enum cache needs capacity >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, default=None):
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def __setitem__(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._data.clear()
-
-    def stats_payload(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._data),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
 
 
 @dataclass
@@ -168,9 +88,7 @@ class BatchQueryEngine:
         :class:`~repro.core.delta.DeltaBufferedFlood`.
     workers:
         Worker threads for query-level parallelism. 1 (default) runs the
-        batch on the calling thread; the enumeration cache is shared either
-        way (a benign race may duplicate a cache fill under threads, never
-        corrupt it, since entries are immutable once stored).
+        batch on the calling thread.
     executor:
         Optional externally-owned :class:`ThreadPoolExecutor` to dispatch
         worker jobs on (the serving layer shares one pool across batches).
@@ -190,10 +108,6 @@ class BatchQueryEngine:
         ``'numpy'``) applied to the index via
         :meth:`FloodIndex.use_kernel`. ``None`` (default) leaves the
         index's own kernel configuration untouched.
-    cache_entries:
-        Enumeration-cache capacity (LRU; default 1024 entries). Hit,
-        miss, and eviction counters are reachable through
-        :meth:`cache_stats`.
     """
 
     def __init__(
@@ -203,7 +117,6 @@ class BatchQueryEngine:
         executor=None,
         backend=None,
         kernel=None,
-        cache_entries: int = _MAX_CACHE_ENTRIES,
     ):
         # Anything satisfying the queryable-index protocol serves: plain,
         # sharded, or delta-buffered (raises BuildError when not built).
@@ -225,32 +138,6 @@ class BatchQueryEngine:
         self.index = index
         self.workers = max(1, int(workers))
         self.executor = executor
-        self._enum_cache = LRUEnumCache(cache_entries)
-        self._cache_table = index.table
-
-    def clear_cache(self) -> None:
-        """Drop the shared enumeration cache (e.g. after a workload shift)."""
-        self._enum_cache.clear()
-
-    def cache_stats(self) -> dict:
-        """Enumeration-cache health: entries/capacity/hits/misses/evictions."""
-        return self._enum_cache.stats_payload()
-
-    def _check_cache_epoch(self) -> None:
-        """Invalidate the enumeration cache when the clustered table moved.
-
-        A mutable index (``DeltaBufferedFlood``) replaces its clustered
-        table wholesale on every merge/re-layout; cached enumerations
-        index the *old* table's cell starts and would silently scan the
-        wrong rows. Buffered inserts never replace the table, so the
-        identity check costs one pointer compare per batch and the cache
-        stays hot under write load. (Benign under racing workers: the
-        worst case is clearing an already-cleared cache.)
-        """
-        table = self.index.table
-        if table is not self._cache_table:
-            self._enum_cache.clear()
-            self._cache_table = table
 
     @staticmethod
     def replay_stats(stats: QueryStats) -> QueryStats:
@@ -289,7 +176,6 @@ class BatchQueryEngine:
         order plus the batch's wall time.
         """
         queries = list(queries)
-        self._check_cache_epoch()
         if visitors is None:
             visitors = [visitor_factory() for _ in queries]
         elif len(visitors) != len(queries):
@@ -300,7 +186,7 @@ class BatchQueryEngine:
         wall_start = timed()
         if self.workers == 1 or len(queries) <= 1:
             for i, query in enumerate(queries):
-                stats[i] = self._execute(query, visitors[i])
+                stats[i] = self.index.query(query, visitors[i])
         else:
             # Chunked jobs: one dispatch per block, not per query, so pool
             # overhead stays negligible even for sub-millisecond queries.
@@ -309,7 +195,7 @@ class BatchQueryEngine:
 
             def job(first):
                 for i in range(first, min(first + block, len(queries))):
-                    stats[i] = self._execute(queries[i], visitors[i])
+                    stats[i] = self.index.query(queries[i], visitors[i])
 
             if self.executor is not None:
                 list(self.executor.map(job, blocks))
@@ -319,11 +205,3 @@ class BatchQueryEngine:
         return BatchResult(
             stats=stats, visitors=visitors, wall_seconds=timed() - wall_start
         )
-
-    def _execute(self, query, visitor) -> QueryStats:
-        """One query through the vectorized pipeline, via the shared cache.
-
-        The cache evicts inline (LRU, bounded at construction), so there
-        is no trim pass here.
-        """
-        return self.index.query(query, visitor, enum_cache=self._enum_cache)

@@ -1,19 +1,30 @@
-"""The Flood index: grid + sort dimension + learned refinement.
+"""The Flood index: grid + sort dimension + refinement.
 
 Build (Sections 3.1 and 5.1): each grid dimension is flattened through its
 CDF model and bucketed into columns; points are ordered by cell id
 (depth-first along the dimension ordering) and, within each cell, by the
-sort dimension. A cell table records the physical start of every cell, and
-each cell gets a delta-bounded PLM over its sort-dimension values.
+sort dimension. Two arrays serve every query:
+
+- the sorted ids of the *non-empty* cells, with each one's column per grid
+  dimension (``cell_starts`` records every cell's physical start);
+- the *refinement key*, one int64 per row: ``cell << B | rank``, where
+  ``rank`` is the row's sort value's position among the distinct sort
+  values and ``B`` the bit length of their count. Storage order is
+  (cell, sort value), so the key is non-decreasing over the whole table.
 
 Query (Sections 3.2 and 5.2):
 
 1. **Projection** -- per grid dimension, map the query bounds through the
-   CDF to an inclusive column range; the intersecting cells are the cross
-   product of those ranges.
-2. **Refinement** -- if the query filters the sort dimension, each cell's
-   physical range is narrowed with its PLM (or binary search, for the
-   ablation), so scanned sort-dimension values are guaranteed in range.
+   CDF to an inclusive column range. The box's smallest and largest cell
+   ids slice the non-empty cells with one ``searchsorted``; the slice is
+   masked to the box on the inner dimensions. Cost is O(non-empty cells in
+   the id range), not O(cells in the box).
+2. **Refinement** -- if the query filters the sort dimension, every
+   planned cell's physical range is narrowed to its rows with sort values
+   in range: two ``searchsorted`` calls on the refinement key, probing
+   ``cell << B | rank(bound)``. The paper's per-cell PLMs
+   (``refinement='plm'``) stay for the Figure 17 / refinement ablations:
+   in numpy they lose to binary search on build time, query time and size.
 3. **Scan** -- each refined range is scanned; only *boundary* columns of
    filtered grid dimensions need per-point checks (interior columns are
    exact by monotonicity of the CDF), which is why Flood's time per scanned
@@ -22,6 +33,7 @@ Query (Sections 3.2 and 5.2):
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -38,12 +50,7 @@ from repro.storage.scan import scan_filtered, scan_runs
 from repro.storage.table import Table
 from repro.storage.visitor import Visitor
 
-_REFINEMENTS = ("plm", "binary", "none")
-
-#: Below this many planned cells, per-cell scalar refinement beats the
-#: lock-step vectorized path (whose ~log(cell width) numpy passes cost more
-#: than they save on tiny lane counts).
-_LOCKSTEP_MIN_CELLS = 32
+_REFINEMENTS = ("binary", "plm", "none")
 
 
 class QueryPlan:
@@ -143,10 +150,13 @@ class FloodIndex(BaseIndex):
         ``'conditional'`` (correlation-aware sub-CDFs, Section 6 —
         implemented to verify the paper's claim that it does not pay off).
     refinement:
-        ``'plm'`` (paper), ``'binary'`` (Section 3.2.2's simple index), or
-        ``'none'`` (skip refinement; sort dimension checked during scan).
+        ``'binary'`` (default: Section 3.2.2's simple index, binary search
+        on the refinement key), ``'plm'`` (the paper's per-cell learned
+        models; kept for the ablations), or ``'none'`` (skip refinement;
+        sort dimension checked during scan).
     delta:
-        PLM per-segment average error bound (paper default 50).
+        PLM per-segment average error bound (paper default 50); used only
+        under ``refinement='plm'``.
     kernel:
         Fused scan-kernel spec: ``'auto'`` (default; numba when
         installed, else the always-available numpy tier), ``'numba'``,
@@ -168,14 +178,18 @@ class FloodIndex(BaseIndex):
     #: Attributes holding all state :meth:`_build` produces. Lives next to
     #: the build code so additions stay in sync; anything sharing a built
     #: index without rebuilding (``ShardedFloodIndex.wrap``) copies exactly
-    #: these. PLM entries are absent under other refinements, hence the
-    #: hasattr guard at the copy site.
+    #: these. ``_plm_*`` entries are absent under other refinements, hence
+    #: the hasattr guard at the copy site.
     _BUILT_STATE_ATTRS = (
         "_table",
-        "_sort_values",
-        "_cell_starts",
-        "_cell_models",
         "_flattener",
+        "_cell_starts",
+        "_nonempty",
+        "_nonempty_cols",
+        "_sort_unique",
+        "_rank_bits",
+        "_refine_key",
+        "_cell_models",
         "_plm_cell_offsets",
         "_plm_keys",
         "_plm_pos",
@@ -188,7 +202,7 @@ class FloodIndex(BaseIndex):
         self,
         layout: GridLayout,
         flatten: str = "rmi",
-        refinement: str = "plm",
+        refinement: str = "binary",
         delta: float = 50.0,
         kernel: str | None = "auto",
     ):
@@ -246,41 +260,14 @@ class FloodIndex(BaseIndex):
 
     # ------------------------------------------------------------------ build
     def _build(self, table: Table) -> None:
-        layout = self.layout
-        for dim in layout.order:
-            if dim not in table:
-                raise SchemaError(f"layout dimension {dim!r} not in table")
-        if self.flatten == "conditional":
-            from repro.core.conditional import ConditionalFlattener
-
-            self._flattener = ConditionalFlattener(
-                table, layout.grid_dims, layout.columns
-            )
-        else:
-            self._flattener = Flattener(table, layout.grid_dims, kind=self.flatten)
-        n = table.num_rows
-        cell_ids = np.zeros(n, dtype=np.int64)
-        for dim, cols in zip(layout.grid_dims, layout.columns):
-            assignment = self._flattener.column_of(dim, table.values(dim), cols)
-            cell_ids = cell_ids * cols + assignment
-        sort_values = table.values(layout.sort_dim)
+        flattener, cell_ids = self._assign_cells(table)
+        sort_values = table.values(self.layout.sort_dim)
         # Order by (cell, sort value): lexsort's last key is primary.
         order = np.lexsort((sort_values, cell_ids))
-        self._table = table.permute(order)
-        self._sort_values = sort_values[order]
-        num_cells = layout.num_cells
-        counts = np.bincount(cell_ids, minlength=num_cells)
-        self._cell_starts = np.zeros(num_cells + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._cell_starts[1:])
-        self._cell_models: list[PiecewiseLinearModel | None] = [None] * num_cells
-        if self.refinement == "plm":
-            for cell in range(num_cells):
-                start, stop = self._cell_starts[cell], self._cell_starts[cell + 1]
-                if stop > start:
-                    self._cell_models[cell] = PiecewiseLinearModel(
-                        self._sort_values[start:stop], delta=self.delta
-                    )
-            self._flatten_cell_models()
+        self._flattener = flattener
+        self._index_clustered(
+            table.permute(order), cell_ids[order], sort_values[order]
+        )
 
     def build_clustered(self, table: Table) -> "FloodIndex":
         """Build over a table that is *already* in this layout's clustered
@@ -300,24 +287,9 @@ class FloodIndex(BaseIndex):
         index.
         """
         start = timed()
-        layout = self.layout
-        for dim in layout.order:
-            if dim not in table:
-                raise SchemaError(f"layout dimension {dim!r} not in table")
-        if self.flatten == "conditional":
-            from repro.core.conditional import ConditionalFlattener
-
-            flattener = ConditionalFlattener(
-                table, layout.grid_dims, layout.columns
-            )
-        else:
-            flattener = Flattener(table, layout.grid_dims, kind=self.flatten)
+        flattener, cell_ids = self._assign_cells(table)
+        sort_values = table.values(self.layout.sort_dim)
         n = table.num_rows
-        cell_ids = np.zeros(n, dtype=np.int64)
-        for dim, cols in zip(layout.grid_dims, layout.columns):
-            assignment = flattener.column_of(dim, table.values(dim), cols)
-            cell_ids = cell_ids * cols + assignment
-        sort_values = table.values(layout.sort_dim)
         clustered = bool(np.all(cell_ids[1:] >= cell_ids[:-1])) if n > 1 else True
         if clustered and n > 1:
             # Within-cell ordering: sort values may only decrease at a
@@ -328,46 +300,95 @@ class FloodIndex(BaseIndex):
         if not clustered:
             return self.build(table)
         self._flattener = flattener
-        self._table = table
-        self._sort_values = np.ascontiguousarray(sort_values)
-        num_cells = layout.num_cells
-        counts = np.bincount(cell_ids, minlength=num_cells)
-        self._cell_starts = np.zeros(num_cells + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._cell_starts[1:])
-        self._cell_models = [None] * num_cells
-        if self.refinement == "plm":
-            for cell in range(num_cells):
-                cstart, cstop = self._cell_starts[cell], self._cell_starts[cell + 1]
-                if cstop > cstart:
-                    self._cell_models[cell] = PiecewiseLinearModel(
-                        self._sort_values[cstart:cstop], delta=self.delta
-                    )
-            self._flatten_cell_models()
+        self._index_clustered(table, cell_ids, sort_values)
         self.build_seconds = timed() - start
         return self
 
-    def _flatten_cell_models(self) -> None:
-        """Concatenate every cell PLM's segments into global arrays.
+    def _assign_cells(self, table: Table):
+        """Fit the flattener on ``table``; returns it with every row's cell id."""
+        layout = self.layout
+        for dim in layout.order:
+            if dim not in table:
+                raise SchemaError(f"layout dimension {dim!r} not in table")
+        if self.flatten == "conditional":
+            from repro.core.conditional import ConditionalFlattener
 
-        The batched refinement path (:meth:`refine_plan`) runs the same
-        model+repair algorithm as :meth:`PiecewiseLinearModel._search`, but
-        lock-step across all of a query's cells; that needs each cell's
-        segment keys/intercepts/slopes addressable by slices of shared
-        arrays. Positions are stored *absolute* (cell start added) so
-        predictions index straight into ``self._sort_values``.
+            flattener = ConditionalFlattener(table, layout.grid_dims, layout.columns)
+        else:
+            flattener = Flattener(table, layout.grid_dims, kind=self.flatten)
+        cell_ids = np.zeros(table.num_rows, dtype=np.int64)
+        for dim, cols in zip(layout.grid_dims, layout.columns):
+            assignment = flattener.column_of(dim, table.values(dim), cols)
+            cell_ids = cell_ids * cols + assignment
+        return flattener, cell_ids
+
+    def _index_clustered(
+        self, table: Table, cell_ids: np.ndarray, sort_values: np.ndarray
+    ) -> None:
+        """The build steps shared by :meth:`_build` and
+        :meth:`build_clustered`, over a table already in (cell, sort value)
+        order; ``cell_ids`` and ``sort_values`` are aligned with its rows.
         """
-        offsets = [0]
+        layout = self.layout
+        num_cells = layout.num_cells
+        unique = np.unique(sort_values)
+        bits = int(unique.size).bit_length()
+        if num_cells.bit_length() + bits > 63:
+            raise BuildError(
+                f"{num_cells} cells x {unique.size} distinct sort values "
+                "overflow the 63-bit refinement key"
+            )
+        counts = np.bincount(cell_ids, minlength=num_cells)
+        cell_starts = np.zeros(num_cells + 1, dtype=np.int64)
+        np.cumsum(counts, out=cell_starts[1:])
+        nonempty = np.flatnonzero(counts)
+        self._table = table
+        self._cell_starts = cell_starts
+        self._nonempty = nonempty
+        self._nonempty_cols = np.array(
+            [
+                (nonempty // stride) % cols
+                for stride, cols in zip(layout.strides, layout.columns)
+            ],
+            dtype=np.int64,
+        ).reshape(len(layout.columns), nonempty.size)
+        self._sort_unique = unique
+        self._rank_bits = bits
+        self._refine_key = (cell_ids << bits) | np.searchsorted(unique, sort_values)
+        self._cell_models: list[PiecewiseLinearModel | None] = []
+        if self.refinement == "plm":
+            self._fit_cell_models(sort_values)
+
+    def _fit_cell_models(self, sort_values: np.ndarray) -> None:
+        """Fit a PLM over every non-empty cell's sort values (Section 5.2).
+
+        The batched refinement path (:meth:`_plm_search_cells`) runs the
+        same model+repair algorithm as :meth:`PiecewiseLinearModel._search`,
+        lock-step across a query's cells; that needs each cell's segment
+        keys/intercepts/slopes addressable by slices of shared arrays
+        (``_plm_cell_offsets``). Positions are stored *absolute* (cell
+        start added) so predictions index straight into the refinement
+        key.
+        """
+        starts = self._cell_starts
+        num_cells = self.layout.num_cells
+        models: list[PiecewiseLinearModel | None] = [None] * num_cells
+        segments = np.zeros(num_cells, dtype=np.int64)
         keys, pos, slope, maxerr, ends = [], [], [], [], []
-        for cell, model in enumerate(self._cell_models):
-            if model is not None:
-                base = int(self._cell_starts[cell])
-                keys.append(model._seg_keys_arr)
-                pos.append(model._seg_pos_arr + base)
-                slope.append(model._seg_slope_arr)
-                maxerr.append(model._seg_maxerr_arr)
-                ends.append(model._seg_end_arr + base)
-            offsets.append(offsets[-1] + (model.num_segments if model else 0))
-        self._plm_cell_offsets = np.asarray(offsets, dtype=np.int64)
+        for cell in self._nonempty.tolist():
+            base = int(starts[cell])
+            model = PiecewiseLinearModel(
+                sort_values[base : starts[cell + 1]], delta=self.delta
+            )
+            models[cell] = model
+            segments[cell] = model.num_segments
+            keys.append(model._seg_keys_arr)
+            pos.append(model._seg_pos_arr + base)
+            slope.append(model._seg_slope_arr)
+            maxerr.append(model._seg_maxerr_arr)
+            ends.append(model._seg_end_arr + base)
+        self._cell_models = models
+        self._plm_cell_offsets = np.concatenate(([0], np.cumsum(segments)))
         empty_f = np.empty(0, dtype=np.float64)
         self._plm_keys = np.concatenate(keys) if keys else empty_f
         self._plm_pos = np.concatenate(pos) if pos else empty_f
@@ -434,20 +455,17 @@ class FloodIndex(BaseIndex):
             base += (layout.sort_dim,)
         return base
 
-    def plan(self, query: Query, enum_cache: dict | None = None) -> QueryPlan:
-        """Vectorized projection: enumerate intersecting cells in bulk.
+    def plan(self, query: Query) -> QueryPlan:
+        """Vectorized projection: the non-empty cells inside the query box.
 
-        Cell ids come from mixed-radix numpy broadcasting over the per-dim
-        column ranges (ascending id order = the old ``product()`` order),
-        ``cell_starts`` is gathered in one shot, and per-cell residual-check
-        sets are packed into integer codes (one bit per grid dim, set on
-        boundary columns that need per-point checks).
-
-        ``enum_cache`` (used by the batch engine) memoizes the enumeration
-        arrays keyed by the projected column ranges + boundary flags:
-        queries that project identically share one enumeration. Cached
-        arrays are never mutated downstream (refinement reassigns fresh
-        arrays), so sharing is safe.
+        The box's smallest and largest cell ids (``sum first_k * stride_k``,
+        ``sum last_k * stride_k``) bound a slice of the sorted non-empty
+        cell ids, found with one ``searchsorted``. Every id in that range
+        already lies inside the box on the outermost grid dimension, so
+        only the inner dimensions the query narrows are masked. Per-cell
+        residual-check sets are packed into integer codes (one bit per grid
+        dim, set on boundary columns that need per-point checks).
+        ``cells_enumerated`` is the box's cell count, empty cells included.
         """
         if self._table is None:
             raise BuildError(f"{self.name} index used before build()")
@@ -457,32 +475,34 @@ class FloodIndex(BaseIndex):
         refine = sort_filtered and self.refinement != "none"
         sort_low, sort_high = query.bounds(layout.sort_dim)
         base_checks = self._base_checks(query, always_check, refine)
-        key = (tuple(info), base_checks) if enum_cache is not None else None
-        cached = enum_cache.get(key) if key is not None else None
-        if cached is None:
-            strides = layout.strides
-            cells = np.zeros(1, dtype=np.int64)
-            codes = np.zeros(1, dtype=np.int64)
-            for k, (dim, first, last, check_first, check_last) in enumerate(info):
-                offsets = np.arange(first, last + 1, dtype=np.int64) * strides[k]
-                flags = np.zeros(last - first + 1, dtype=np.int64)
-                if check_first:
-                    flags[0] = 1
-                if check_last:
-                    flags[-1] = 1
-                cells = (cells[:, None] + offsets[None, :]).reshape(-1)
-                codes = ((codes[:, None] << 1) | flags[None, :]).reshape(-1)
-            starts = self._cell_starts[cells]
-            stops = self._cell_starts[cells + 1]
-            keep = stops > starts
-            cached = (cells[keep], starts[keep], stops[keep], codes[keep], cells.size)
-            if key is not None:
-                enum_cache[key] = cached
-        cells, starts, stops, codes, enumerated = cached
+        first_id = last_id = 0
+        for (_, first, last, _, _), stride in zip(info, layout.strides):
+            first_id += first * stride
+            last_id += last * stride
+        lo, hi = np.searchsorted(self._nonempty, (first_id, last_id + 1))
+        cells = self._nonempty[lo:hi]
+        cols = self._nonempty_cols[:, lo:hi]
+        keep = None
+        for k in range(1, len(info)):
+            _, first, last, _, _ = info[k]
+            if first > 0 or last < layout.columns[k] - 1:
+                inside = (cols[k] >= first) & (cols[k] <= last)
+                keep = inside if keep is None else keep & inside
+        if keep is not None:
+            cells = cells[keep]
+            cols = cols[:, keep]
+        enumerated = math.prod(last - first + 1 for _, first, last, _, _ in info)
+        codes = np.zeros(cells.size, dtype=np.int64)
+        for k, (_, first, last, check_first, check_last) in enumerate(info):
+            bit = 1 << (len(info) - 1 - k)
+            if check_first:
+                codes[cols[k] == first] |= bit
+            if check_last:
+                codes[cols[k] == last] |= bit
         return QueryPlan(
             cells=cells,
-            starts=starts,
-            stops=stops,
+            starts=self._cell_starts[cells],
+            stops=self._cell_starts[cells + 1],
             codes=codes,
             base_checks=base_checks,
             grid_dims=layout.grid_dims,
@@ -495,35 +515,25 @@ class FloodIndex(BaseIndex):
     def refine_plan(self, plan: QueryPlan) -> None:
         """Narrow every planned cell range on the sort dimension, in place.
 
-        All cells share the query's two probes, so refinement runs lock-step
-        across the whole cell batch: one vectorized pass per probe instead
-        of two Python searches per cell.
+        A cell's rows with sort values in ``[low, high]`` are exactly those
+        whose refinement key lies in ``[cell << B | rank_left(low),
+        cell << B | rank_right(high))``, where the ranks count the distinct
+        sort values below ``low`` and at most ``high``. Under ``'binary'``
+        the whole plan therefore refines with two ``searchsorted`` calls
+        on the key; ``'plm'`` predicts inside each cell first.
         """
-        m = plan.starts.size
-        if not plan.refine or m == 0:
+        if not plan.refine or plan.cells.size == 0:
             return
-        low, high = plan.sort_low, plan.sort_high
-        if m < _LOCKSTEP_MIN_CELLS:
-            # Small plans: two scalar searches per cell are cheaper than the
-            # fixed cost of the vectorized passes.
-            new_starts = np.empty(m, dtype=np.int64)
-            new_stops = np.empty(m, dtype=np.int64)
-            cells, starts, stops = plan.cells, plan.starts, plan.stops
-            refine_one = self._refine
-            for i in range(m):
-                new_starts[i], new_stops[i] = refine_one(
-                    int(cells[i]), int(starts[i]), int(stops[i]), low, high
-                )
-        elif self.refinement == "plm":
-            new_starts = self._plm_search_cells(plan, float(low), "left")
-            new_stops = self._plm_search_cells(plan, float(high), "right")
-        else:  # 'binary' (Section 3.2.2's simple index)
-            new_starts = lockstep_searchsorted(
-                self._sort_values, plan.starts, plan.stops, low, "left"
-            )
-            new_stops = lockstep_searchsorted(
-                self._sort_values, plan.starts, plan.stops, high, "right"
-            )
+        unique = self._sort_unique
+        shifted = plan.cells << self._rank_bits
+        low_keys = shifted | int(np.searchsorted(unique, plan.sort_low, "left"))
+        high_keys = shifted | int(np.searchsorted(unique, plan.sort_high, "right"))
+        if self.refinement == "plm":
+            new_starts = self._plm_search_cells(plan, plan.sort_low, low_keys)
+            new_stops = self._plm_search_cells(plan, plan.sort_high, high_keys)
+        else:
+            new_starts = np.searchsorted(self._refine_key, low_keys)
+            new_stops = np.searchsorted(self._refine_key, high_keys)
         keep = new_stops > new_starts
         plan.cells = plan.cells[keep]
         plan.starts = new_starts[keep]
@@ -531,19 +541,22 @@ class FloodIndex(BaseIndex):
         plan.codes = plan.codes[keep]
 
     def _plm_search_cells(
-        self, plan: QueryPlan, probe: float, side: str
+        self, plan: QueryPlan, probe, probe_keys: np.ndarray
     ) -> np.ndarray:
-        """Absolute refined positions of ``probe`` in every planned cell.
+        """Absolute refined position of ``probe`` in every planned cell.
 
         The batched twin of ``PiecewiseLinearModel._search``: locate each
         cell's covering segment (lock-step binary search over the flattened
         segment keys), predict, verify the error-bounded bracket, repair
         failures to the segment's full range, then finish with a lock-step
-        binary search over the brackets in the global sort-value array.
+        binary search over the brackets. Verification and the final search
+        compare refinement keys with ``probe_keys`` (each cell's key for
+        ``probe``, see :meth:`refine_plan`), so no sort-value column is
+        decoded and both ends of the range are a ``'left'`` search.
         """
         cells, starts, stops = plan.cells, plan.starts, plan.stops
-        sort_values = self._sort_values
-        n_total = sort_values.size
+        key = self._refine_key
+        probe = float(probe)
         seg_lo = self._plm_cell_offsets[cells]
         seg_hi = self._plm_cell_offsets[cells + 1]
         # Rightmost segment with key <= probe, per cell (upper bound - 1).
@@ -553,30 +566,29 @@ class FloodIndex(BaseIndex):
         idx = upper - 1
         routed = idx >= seg_lo  # probe below a cell's first key -> position 0
         idx = np.maximum(idx, seg_lo)
-        seg_start = self._plm_pos[idx].astype(np.int64)
+        seg_pos = self._plm_pos[idx]
+        seg_start = seg_pos.astype(np.int64)
         seg_end = self._plm_ends[idx]
-        pred = self._plm_pos[idx] + self._plm_slope[idx] * (
-            probe - self._plm_keys[idx]
+        # Clip in float, before the int64 cast: a probe far outside the
+        # data predicts far outside the segment (or past int64 range).
+        pred = np.clip(
+            seg_pos + self._plm_slope[idx] * (probe - self._plm_keys[idx]),
+            seg_pos,
+            seg_end,
         )
         lo = np.maximum(pred.astype(np.int64) - 1, seg_start)
         hi = np.minimum(
             (pred + self._plm_maxerr[idx]).astype(np.int64) + 2, seg_end
         )
         lo = np.minimum(lo, hi)
-        # Bracket verification (cell-relative boundaries become absolute).
-        below = sort_values[np.maximum(lo - 1, 0)]
-        above = sort_values[np.minimum(hi, n_total - 1)]
-        if side == "left":
-            ok = ((lo == starts) | (below < probe)) & (
-                (hi >= stops) | (above >= probe)
-            )
-        else:
-            ok = ((lo == starts) | (below <= probe)) & (
-                (hi >= stops) | (above > probe)
-            )
+        below = key[np.maximum(lo - 1, 0)]
+        above = key[np.minimum(hi, key.size - 1)]
+        ok = ((lo == starts) | (below < probe_keys)) & (
+            (hi >= stops) | (above >= probe_keys)
+        )
         lo = np.where(ok, lo, seg_start)
         hi = np.where(ok, hi, np.minimum(seg_end, stops))
-        out = lockstep_searchsorted(sort_values, lo, hi, probe, side)
+        out = lockstep_searchsorted(key, lo, hi, probe_keys, "left")
         return np.where(routed, out, starts)
 
     def execute_plan(
@@ -627,9 +639,7 @@ class FloodIndex(BaseIndex):
             if not bounds:
                 stats.exact_points += scanned
 
-    def query(
-        self, query: Query, visitor: Visitor, enum_cache: dict | None = None
-    ) -> QueryStats:
+    def query(self, query: Query, visitor: Visitor) -> QueryStats:
         """Execute one range query through the vectorized pipeline.
 
         Runs the paper's three stages — projection (:meth:`plan`),
@@ -644,9 +654,6 @@ class FloodIndex(BaseIndex):
         visitor:
             Aggregation visitor fed every matching range (``mask=None``
             marks exact ranges, enabling the cumulative-aggregate path).
-        enum_cache:
-            Optional cell-enumeration memo shared across queries (see
-            :meth:`plan`); the batch engine passes its own.
 
         Returns
         -------
@@ -657,7 +664,7 @@ class FloodIndex(BaseIndex):
         # ---- projection (timed as a whole; per-cell timers would dominate
         # the very overhead they measure).
         index_start = timed()
-        plan = self.plan(query, enum_cache=enum_cache)
+        plan = self.plan(query)
         stats.cells_visited = plan.cells_enumerated
         stats.index_time = timed() - index_start
         # ---- refinement: narrow each cell's physical range on the sort dim.
@@ -764,34 +771,42 @@ class FloodIndex(BaseIndex):
         return stats
 
     def _refine(self, cell, start, stop, low, high) -> tuple[int, int]:
-        """Narrow [start, stop) to sort-dimension values in [low, high]."""
+        """Narrow non-empty cell ``cell``'s rows [start, stop) to
+        sort-dimension values in [low, high]."""
         if self.refinement == "plm":
             model = self._cell_models[cell]
-            if model is None:
-                return start, start
-            i1 = model.search_left(low)
-            i2 = model.search_right(high)
-            return start + i1, start + i2
-        section = self._sort_values[start:stop]
+            return start + model.search_left(low), start + model.search_right(high)
+        section = self._table.values(self.layout.sort_dim, start, stop)
         i1 = int(np.searchsorted(section, low, side="left"))
         i2 = int(np.searchsorted(section, high, side="right"))
         return start + i1, start + i2
 
     # ------------------------------------------------------------------- size
     def size_bytes(self) -> int:
-        """Index footprint: cell table + flattening models + per-cell PLMs.
+        """Index footprint: cell table, non-empty cells, flattening models,
+        refinement key and distinct sort values, plus the per-cell PLMs
+        under ``refinement='plm'``.
 
-        As in the paper (Section 7.4), over 95% of this is typically the
-        per-cell sort-dimension models.
+        The refinement key (8 bytes per row) dominates. In the paper
+        (Section 7.4) the per-cell PLMs dominate instead; here they are an
+        ablation on top of the key.
         """
         if self._table is None:
             return 0
-        total = int(self._cell_starts.nbytes) + self._flattener.size_bytes()
-        for model in self._cell_models:
-            if model is not None:
-                total += model.size_bytes()
-        return total
+        arrays = (
+            self._cell_starts,
+            self._nonempty,
+            self._nonempty_cols,
+            self._refine_key,
+            self._sort_unique,
+        )
+        return (
+            sum(int(array.nbytes) for array in arrays)
+            + self._flattener.size_bytes()
+            + self.refinement_model_bytes()
+        )
 
     def refinement_model_bytes(self) -> int:
-        """Footprint of the per-cell models alone (Figure 8 discussion)."""
+        """Footprint of the per-cell PLMs alone (Figure 8 discussion); 0
+        unless ``refinement='plm'``."""
         return sum(m.size_bytes() for m in self._cell_models if m is not None)

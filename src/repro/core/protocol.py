@@ -7,9 +7,8 @@ whole serving stack read-only: :class:`~repro.core.delta.DeltaBufferedFlood`
 the micro-batcher, or the TCP server. The stack is now polymorphic over
 anything satisfying :class:`QueryableIndex`:
 
-- ``query(query, visitor, enum_cache=None) -> QueryStats`` — the
-  vectorized single-query path (the engine passes its shared enumeration
-  cache through; implementations free to ignore it).
+- ``query(query, visitor) -> QueryStats`` — the vectorized single-query
+  path.
 - ``query_percell(query, visitor) -> QueryStats`` — the seed's reference
   path, used as the identity oracle by tests and benchmarks.
 - ``generation`` — monotonic table-content counter. Immutable indexes
@@ -50,9 +49,7 @@ class QueryableIndex(Protocol):
     @property
     def table(self): ...
 
-    def query(
-        self, query: Query, visitor: Visitor, enum_cache: dict | None = None
-    ) -> QueryStats: ...
+    def query(self, query: Query, visitor: Visitor) -> QueryStats: ...
 
     def query_percell(self, query: Query, visitor: Visitor) -> QueryStats: ...
 

@@ -279,10 +279,15 @@ class PiecewiseLinearModel:
             return out
         probes = probes[routed]
         idx = idx[routed]
-        seg_start = self._seg_pos_arr[idx].astype(np.int64)
+        seg_pos = self._seg_pos_arr[idx]
+        seg_start = seg_pos.astype(np.int64)
         seg_end = self._seg_end_arr[idx]
-        pred = self._seg_pos_arr[idx] + self._seg_slope_arr[idx] * (
-            probes - keys[idx]
+        # Clip in float, before the int64 cast: a probe far past the data
+        # (1e300-scale) must not predict past int64 range.
+        pred = np.clip(
+            seg_pos + self._seg_slope_arr[idx] * (probes - keys[idx]),
+            seg_pos,
+            seg_end,
         )
         lo = np.maximum(pred.astype(np.int64) - 1, seg_start)
         hi = np.minimum(

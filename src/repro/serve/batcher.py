@@ -1,7 +1,7 @@
 """Micro-batching: coalesce concurrent requests into engine batches.
 
 Serving workloads arrive one query at a time, but the engine is fastest
-when fed batches (shared enumeration cache, one worker-pool dispatch).
+when fed batches (one worker-pool dispatch per batch).
 The :class:`MicroBatcher` bridges the two: awaiting clients put requests
 on an asyncio queue; a collector task gathers them into micro-batches
 bounded by **size** (``max_batch`` requests dispatch immediately) and

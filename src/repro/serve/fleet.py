@@ -525,11 +525,9 @@ class ReaderRuntime:
                 return False
             new_index.generation = generation
             if server is not None:
-                server.engine.index = new_index
-                # Enumeration cache indexes the old clustered layout;
-                # the result cache is generation-keyed and needs no
+                # The result cache is generation-keyed and needs no
                 # clearing.
-                server.engine.clear_cache()
+                server.engine.index = new_index
             retired.append(self.attachment)
             self.index = new_index
             self.attachment = shared

@@ -14,9 +14,8 @@
   (:meth:`DeltaBufferedFlood.prepare_merge`) while reads keep hitting
   the old index + buffer; the finished index is then swapped in
   atomically through the write barrier
-  (:meth:`~repro.core.delta.DeltaBufferedFlood.commit_merge`), the
-  engine's enumeration cache is dropped (it indexes the old clustered
-  layout), and the superseded inner index's scan backend — worker pool
+  (:meth:`~repro.core.delta.DeltaBufferedFlood.commit_merge`), and the
+  superseded inner index's scan backend — worker pool
   plus shared-memory segments for the process backend — is retired on
   an executor thread. Rows inserted *during* the merge stay buffered
   and visible throughout; one maintenance job runs at a time.
@@ -264,10 +263,6 @@ class MutableController:
 
             def commit():
                 swapped["old"] = index.commit_merge(prepared)
-                # The enumeration cache indexes the *old* clustered
-                # layout (cell starts, flattener); serving it against
-                # the new index would return wrong rows.
-                self.engine.clear_cache()
                 if self.monitor is not None:
                     # Fresh baseline: "normal" means the new index.
                     self.monitor.reset()

@@ -500,8 +500,6 @@ class FloodServer:
         payload["kernel"] = kernel_stats_payload(
             getattr(self.engine.index, "kernel_tier", None)
         )
-        if hasattr(self.engine, "cache_stats"):
-            payload["engine_cache"] = self.engine.cache_stats()
         if self.fleet_stats is not None:
             payload["fleet"] = self.fleet_stats()
         return payload

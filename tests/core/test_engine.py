@@ -54,7 +54,7 @@ class TestVectorizedQueryIdentity:
                 assert getattr(s_fast, attr) == getattr(s_slow, attr), attr
 
     def test_large_plan_lockstep_refinement(self):
-        # Enough intersecting cells to cross the lock-step threshold.
+        # Hundreds of intersecting cells refined in one pass.
         table = make_table(n=4000, dims=DIMS, seed=3)
         index = _flood(table, columns=(8, 8, 4))
         query = Query({"x": (0, 999), "w": (200, 600)})
@@ -136,45 +136,19 @@ class TestBatchQueryEngine:
             s.points_matched for s in threaded.stats
         ]
 
-    def test_enum_cache_reuse_keeps_results(self):
+    def test_repeated_queries_keep_results(self):
         table = make_table(n=800, dims=DIMS, seed=15)
         index = _flood(table)
         queries = _workload(table, n=10, seed=16)
         engine = BatchQueryEngine(index)
-        first = engine.run(queries + queries)  # exact repeats hit the cache
-        assert len(engine._enum_cache) > 0
-        assert engine.cache_stats()["hits"] > 0
+        first = engine.run(queries + queries)
         second = engine.run(queries + queries)
         assert first.results == second.results
-        engine.clear_cache()
-        assert len(engine._enum_cache) == 0
-
-    def test_enum_cache_lru_bound_and_eviction_counter(self):
-        table = make_table(n=800, dims=DIMS, seed=15)
-        index = _flood(table)
-        queries = _workload(table, n=12, seed=21)
-        engine = BatchQueryEngine(index, cache_entries=4)
-        engine.run(queries)
-        stats = engine.cache_stats()
-        assert stats["capacity"] == 4
-        assert stats["entries"] <= 4
-        assert stats["evictions"] >= stats["misses"] - 4
-        # Eviction never corrupts results: rerun the full workload.
-        baseline = BatchQueryEngine(index).run(queries)
-        again = engine.run(queries)
-        assert again.results == baseline.results
-
-    def test_enum_cache_lru_keeps_hot_entry(self):
-        from repro.core.engine import LRUEnumCache
-
-        cache = LRUEnumCache(2)
-        cache["a"] = 1
-        cache["b"] = 2
-        assert cache.get("a") == 1  # refresh 'a'; 'b' is now the LRU entry
-        cache["c"] = 3
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
-        assert cache.stats_payload()["evictions"] == 1
+        assert first.results[: len(queries)] == first.results[len(queries) :]
+        for query, got in zip(queries, first.results):
+            visitor = CountVisitor()
+            index.query_percell(query, visitor)
+            assert visitor.result == got
 
     def test_sum_visitors_agree_with_single_query_path(self):
         table = make_table(n=1000, dims=DIMS, seed=17)

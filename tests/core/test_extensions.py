@@ -295,10 +295,10 @@ class TestDeltaMergeLifecycle:
 
 class TestEngineEnumCacheOverMutableIndex:
     def test_merge_between_runs_invalidates_enum_cache(self):
-        """Library-path regression: the engine's enumeration cache holds
-        cell starts of the *old* clustered table; an auto-merge between
-        ``run()`` calls must invalidate it or identical queries silently
-        scan the wrong rows of the rebuilt table."""
+        """An auto-merge between ``run()`` calls rebuilds the clustered
+        table under the engine; the same query must then count the merged
+        rows. The engine keeps no cell enumeration (or any other position
+        of the old table) across runs, so nothing stale can be scanned."""
         from repro.core.engine import BatchQueryEngine
 
         table = make_table(n=2000, dims=DIMS, seed=17)

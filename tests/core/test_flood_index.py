@@ -28,10 +28,21 @@ class TestFloodBuild:
     def test_sorted_within_cells(self):
         index = _flood(make_table(n=900, seed=1))
         starts = index._cell_starts
-        values = index._sort_values
+        values = index.table.values(index.layout.sort_dim)
         for cell in range(index.layout.num_cells):
             section = values[starts[cell] : starts[cell + 1]]
             assert np.all(np.diff(section) >= 0)
+        # The refinement key orders the whole table: cell id in the high
+        # bits, the sort value's rank among distinct values in the low.
+        key = index._refine_key
+        assert np.all(np.diff(key) >= 0)
+        cells = np.repeat(np.arange(index.layout.num_cells), np.diff(starts))
+        assert np.array_equal(key >> index._rank_bits, cells)
+        ranks = key & ((1 << index._rank_bits) - 1)
+        assert np.array_equal(index._sort_unique[ranks], values)
+        assert np.array_equal(
+            index._nonempty, np.flatnonzero(np.diff(starts))
+        )
 
     def test_unknown_dim_raises(self):
         layout = GridLayout(("nope", "x"), (2,))
@@ -47,16 +58,29 @@ class TestFloodBuild:
         with pytest.raises(BuildError):
             index.query(Query({"x": (0, 1)}), CountVisitor())
 
+    def test_refinement_key_overflow_rejected(self):
+        # 2**62 cells leave one bit for ~600 distinct sort values.
+        with pytest.raises(BuildError):
+            _flood(make_table(n=200, seed=2), columns=(2**31, 2**31))
+
     def test_plm_models_built_per_nonempty_cell(self):
-        index = _flood(make_table(n=500, seed=2))
+        index = _flood(make_table(n=500, seed=2), refinement="plm")
         nonempty = int((np.diff(index._cell_starts) > 0).sum())
         built = sum(1 for m in index._cell_models if m is not None)
         assert built == nonempty
 
     def test_size_dominated_by_cell_models(self):
-        index = _flood(make_table(n=5000, seed=3), columns=(8, 8))
+        index = _flood(make_table(n=5000, seed=3), columns=(8, 8), refinement="plm")
         assert index.refinement_model_bytes() > 0
         assert index.refinement_model_bytes() <= index.size_bytes()
+
+    def test_size_counts_refinement_key_and_plms_only_under_plm(self):
+        table = make_table(n=5000, seed=3)
+        binary = _flood(table, columns=(8, 8))
+        plm = _flood(table, columns=(8, 8), refinement="plm")
+        assert binary.refinement_model_bytes() == 0
+        assert binary.size_bytes() > binary._refine_key.nbytes
+        assert plm.size_bytes() - binary.size_bytes() == plm.refinement_model_bytes()
 
 
 class TestFloodCorrectness:
@@ -81,6 +105,24 @@ class TestFloodCorrectness:
         assert np.array_equal(
             collected_rows(index, query), brute_force_rows(index, query)
         )
+
+    @pytest.mark.parametrize("refinement", ["binary", "plm", "none"])
+    def test_sort_range_outside_data(self, refinement):
+        """Regression: a sort-dimension range far outside the data used to
+        drive the PLM prediction below its segment and out of bounds
+        (IndexError) once a plan held enough cells."""
+        table = make_table(n=3000, seed=3)
+        index = _flood(table, columns=(8, 8), refinement=refinement)
+        for bounds, expected in (
+            ((-(10**12), -(10**11)), 0),
+            ((10**11, 10**12), 0),
+            ((int(-1e300), int(-1e299)), 0),
+            ((int(1e299), int(1e300)), 0),
+            ((-(10**12), 10**12), 3000),
+        ):
+            visitor = CountVisitor()
+            index.query(Query({"z": bounds}), visitor)
+            assert visitor.result == expected, bounds
 
     def test_query_on_unindexed_dim(self):
         # A dim in the table but not the layout must still be filtered.
@@ -165,3 +207,80 @@ class TestFloodBehavior:
             flat_scanned += flat.query(query, CountVisitor()).points_scanned
             unflat_scanned += unflat.query(query, CountVisitor()).points_scanned
         assert flat_scanned < unflat_scanned
+
+
+#: How a property-test query treats one dimension.
+_RANGE_SHAPES = ("skip", "domain", "wide", "inner", "sub", "point", "below", "above")
+
+
+def _shaped_range(shape, values, rng):
+    lo, hi = int(np.floor(values.min())), int(np.ceil(values.max()))
+    if shape == "domain":  # full range, no boundary checks
+        return lo, hi
+    if shape == "wide":
+        return lo - 5, hi + 5
+    if shape == "inner":  # usually every column, boundary checks on
+        return (lo + 1, hi - 1) if hi - lo >= 2 else (lo, hi)
+    if shape == "sub":
+        a, b = sorted(rng.integers(lo, hi + 1, size=2).tolist())
+        return a, b
+    if shape == "point":
+        value = int(values[rng.integers(values.size)])
+        return value, value
+    if shape == "below":
+        return -(10**12), -(10**11)
+    return 10**11, 10**12  # "above"
+
+
+class TestPlanRefineProperty:
+    """``plan`` + ``refine_plan`` + ``execute_plan`` against the per-cell
+    reference loop: same rows, same counters, on every variant."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        columns=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        flatten=st.sampled_from(["rmi", "quantile", "none", "conditional"]),
+        refinement=st.sampled_from(["binary", "plm", "none"]),
+        float_sort=st.booleans(),
+        shapes=st.lists(st.sampled_from(_RANGE_SHAPES), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_percell(
+        self, n, columns, flatten, refinement, float_sort, shapes, seed
+    ):
+        from repro.query.stats import QueryStats
+        from repro.storage.table import Table
+        from repro.storage.visitor import CollectVisitor
+
+        rng = np.random.default_rng(seed)
+        # Skewed, correlated grid dims leave most cells of a fine grid empty.
+        x = rng.lognormal(mean=4, sigma=1.2, size=n).astype(np.int64)
+        y = x + rng.integers(0, 40, size=n)
+        if float_sort:
+            z = rng.normal(500.0, 200.0, size=n)
+        else:
+            z = rng.integers(0, 60, size=n)  # duplicate-heavy
+        w = rng.integers(0, 1000, size=n)
+        table = Table({"x": x, "y": y, "z": z, "w": w})
+        index = FloodIndex(
+            GridLayout(DIMS, columns), flatten=flatten, refinement=refinement
+        ).build(table)
+        ranges = {
+            dim: _shaped_range(shape, table.values(dim), rng)
+            for dim, shape in zip(("x", "y", "z", "w"), shapes)
+            if shape != "skip"
+        }
+        query = Query(ranges or {"x": _shaped_range("domain", x, rng)})
+
+        plan = index.plan(query)
+        index.refine_plan(plan)
+        fast, stats = CollectVisitor(), QueryStats()
+        index.execute_plan(plan, query, fast, stats)
+        slow = CollectVisitor()
+        reference = index.query_percell(query, slow)
+
+        assert np.array_equal(np.sort(fast.result), np.sort(slow.result))
+        assert plan.cells_enumerated == reference.cells_visited
+        for attr in ("points_scanned", "points_matched", "exact_points"):
+            assert getattr(stats, attr) == getattr(reference, attr), attr

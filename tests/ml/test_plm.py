@@ -124,7 +124,8 @@ class TestPLMSearchMany:
     def test_adversarial_inputs(self, values):
         plm = PiecewiseLinearModel(values, delta=3.0)
         probes = np.array(
-            [-(10**9), -1, 0, 7, 10, 15, 20, 29, 30, 42, 4998, 5001, 10**9]
+            [-1e300, -(10**9), -1, 0, 7, 10, 15, 20, 29, 30, 42, 4998, 5001,
+             10**9, 1e300]
         )
         for side in ("left", "right"):
             got = plm.search_many(probes, side)

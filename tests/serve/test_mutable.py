@@ -500,8 +500,9 @@ class TestAdaptiveServing:
         n = 15000
         data = {dim: rng.integers(0, 1000, n) for dim in DIMS}
         delta = DeltaBufferedFlood(
-            # Deliberately x-heavy initial layout so a y/z workload is
-            # measurably slow until the monitor reacts.
+            # Deliberately x-heavy initial layout so a y workload is
+            # measurably slow (it scans half the table) until the monitor
+            # reacts.
             GridLayout(("x", "y", "z"), (16, 2)),
             merge_threshold=None,
         ).build(Table(data))
@@ -509,17 +510,21 @@ class TestAdaptiveServing:
 
         async def scenario(server, host, port):
             client = await AsyncFloodClient().connect(host, port)
-            for i in range(10):  # baseline: x-selective, cheap
+            # Warm-up queries pay one-off costs; keep them out of the
+            # monitor's baseline.
+            for i in range(5):
+                await client.query({"x": [i, i + 4]})
+            monitor.reset()
+            # Baseline: x-selective and cheap, filling the monitor's whole
+            # 20-query baseline window.
+            for i in range(20):
                 await client.query({"x": [i, i + 4]})
             checks = []
-            for _ in range(60):  # shifted: y/z-heavy
+            for _ in range(60):  # shifted: y-heavy
                 lo = int(rng.integers(0, 900))
-                ranges = {"y": [lo, lo + 30], "z": [lo, lo + 30]}
-                count, _ = await client.query(ranges)
+                count, _ = await client.query({"y": [lo, lo + 30]})
                 checks.append(
-                    (count, _oracle_count(data, [], {
-                        "y": (lo, lo + 30), "z": (lo, lo + 30)
-                    }))
+                    (count, _oracle_count(data, [], {"y": (lo, lo + 30)}))
                 )
             await server.mutable.drain()
             post, _ = await client.query({"y": [0, 100]})

@@ -332,6 +332,28 @@ class TestWireProtocolStrictJSON:
         assert follow_up["ok"] is True
         assert follow_up["result"] == _count(index, Query({"x": (0, 100)}))
 
+    @pytest.mark.parametrize("refinement", ["binary", "plm"])
+    def test_sort_range_outside_data_counts_zero(self, refinement):
+        """A sort-dimension range far outside the data (wire bounds up to
+        1e300) is an empty answer, not an ``internal error`` from the
+        refinement stage."""
+        table = make_table(n=3000, dims=DIMS, seed=6)
+        index = FloodIndex(GridLayout(DIMS, (8, 8)), refinement=refinement).build(
+            table
+        )
+
+        async def scenario(server, host, port):
+            return [
+                await _raw_roundtrip(
+                    host, port, b'{"id": 1, "ranges": {"z": %s}}\n' % bounds
+                )
+                for bounds in (b"[-1e12, -1e11]", b"[1e299, 1e300]")
+            ]
+
+        for reply in _run_with_server(index, scenario):
+            assert reply["ok"] is True, reply
+            assert reply["result"] == 0
+
     def test_empty_match_min_max_avg_round_trip_as_null(self, index):
         """MIN/MAX/AVG over zero matched rows must reach the client as
         null, parseable by a strict JSON parser."""
