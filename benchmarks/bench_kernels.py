@@ -1,26 +1,22 @@
-"""Fused scan kernels: identity, tier × backend × selectivity, regression.
+"""Fused scan kernels: identity, backend × selectivity, numba speedup.
 
 Three measurements over a synthetic table shaped to maximize fused-kernel
 work (an unindexed filter dimension makes every run carry a residual
 check, so the kernels — not the exact-range fast path — do the scanning):
 
-1. **Identity** — for every kernel tier importable here × every backend
-   (serial/thread/process), query results are identical to the seed's
-   ``query_percell`` loop: byte-exact for COUNT/MIN/MAX/collect and all
-   int64 aggregates, ~1e-9 relative for float SUM/AVG (documented
-   accumulation-order difference).
-2. **Tier × backend × selectivity sweep** — a low-selectivity aggregate
-   is where fusion pays: the classic path still materializes masks and
-   dispatches visitors per run while the kernel answers the whole batch
-   in one pass. Persisted to ``results/BENCH_kernels.json`` for the perf
-   trajectory (picked up by ``repro bench-diff`` automatically). When
-   numba is importable, the headline assert requires the numba tier
-   >= ``MIN_NUMBA_SPEEDUP``x over numpy on the lowest-selectivity COUNT;
-   demote with ``REPRO_REQUIRE_KERNEL_SPEEDUP=0`` on noisy runners.
-3. **numpy regression** — the always-on numpy tier computes aggregates
-   directly from the combined mask (``where=`` reductions, no
-   ``values[mask]`` row copies); it must not lose to the classic per-run
-   path it replaced (same env-var demotion, identity always enforced).
+1. **Identity** — on this platform's scan path (numba's fused kernels
+   when numba imports, the classic ``scan_runs`` otherwise) × every
+   backend (serial/thread/process), query results are identical to the
+   seed's ``query_percell`` loop: byte-exact for COUNT/MIN/MAX/collect
+   and all int64 aggregates, ~1e-9 relative for float SUM/AVG
+   (documented accumulation-order difference).
+2. **Backend × selectivity sweep** — COUNT and SUM latency per backend,
+   persisted to ``results/BENCH_kernels.json`` for the perf trajectory
+   (picked up by ``repro bench-diff`` automatically).
+3. **numba over classic** — when numba is importable, ``scan_runs`` with
+   the fused kernel must be >= ``MIN_NUMBA_SPEEDUP``x the classic
+   ``scan_runs`` over the lowest-selectivity COUNT's run groups; demote
+   with ``REPRO_REQUIRE_KERNEL_SPEEDUP=0`` on noisy runners.
 """
 
 import math
@@ -36,7 +32,13 @@ from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
 from repro.core.shard import ShardedFloodIndex
 from repro.query.predicate import Query
-from repro.storage.kernels import numba_available, warmup_kernels
+from repro.storage.kernels import (
+    get_kernel,
+    numba_available,
+    resolve_kernel,
+    warmup_kernels,
+)
+from repro.storage.scan import scan_runs
 from repro.storage.table import Table
 from repro.storage.visitor import (
     AvgVisitor,
@@ -48,15 +50,10 @@ from repro.storage.visitor import (
 )
 
 ROWS = 200_000
-#: Tiers importable in this environment (numpy is always present).
-TIERS = ("numpy",) + (("numba",) if numba_available() else ())
 #: Fractions of the unindexed dimension's domain that pass the filter.
 SELECTIVITIES = (0.5, 0.1, 0.01)
-#: Required numba-over-numpy speedup on the lowest-selectivity COUNT.
+#: Required numba-over-classic speedup on the lowest-selectivity COUNT.
 MIN_NUMBA_SPEEDUP = 2.0
-#: The numpy fused path must at least hold serve with the classic path
-#: it replaces (it usually wins; the bar stays modest for CI runners).
-MIN_FUSED_SPEEDUP = 0.9
 REQUIRE_SPEEDUP = os.environ.get("REPRO_REQUIRE_KERNEL_SPEEDUP", "1") != "0"
 CORES = os.cpu_count() or 1
 
@@ -72,12 +69,12 @@ def kernels_setup():
         "z": rng.integers(0, 1000, size=ROWS),
         # Unindexed: every run must residual-check it -> kernel work.
         "w": rng.integers(0, 1_000_000, size=ROWS),
-        # Float aggregate target with NaNs, for float-tier identity.
+        # Float aggregate target with NaNs, for float identity.
         "f": rng.uniform(0, 1000, size=ROWS),
     }
     data["f"][rng.integers(0, ROWS, size=200)] = np.nan
     table = Table(data)
-    flood = FloodIndex(GridLayout(DIMS, (10, 8)), kernel="numpy").build(table)
+    flood = FloodIndex(GridLayout(DIMS, (10, 8))).build(table)
     backend = ProcessBackend(flood.table, workers=2)
     yield flood, backend
     backend.shutdown()
@@ -105,6 +102,19 @@ def _variants(flood, process_backend):
     )
 
 
+def _scan_groups(flood, query):
+    """``(bounds, runs)`` groups exactly as ``execute_plan`` scans them."""
+    plan = flood.plan(query)
+    flood.refine_plan(plan)
+    by_code: dict[int, list] = {}
+    for start, stop, code in plan.coalesced_runs():
+        by_code.setdefault(code, []).append((start, stop))
+    return [
+        ([(dim, *query.bounds(dim)) for dim in plan.checks_for(code)], spans)
+        for code, spans in by_code.items()
+    ]
+
+
 def _best_seconds(run, repeats=3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -123,7 +133,7 @@ def _close(a, b, rel=1e-9) -> bool:
 
 
 def test_kernel_identity_suite(kernels_setup):
-    """Every tier × backend × dtype against the seed's per-cell loop."""
+    """Every backend × dtype against the seed's per-cell loop."""
     flood, process_backend = kernels_setup
     queries = [_query(s) for s in SELECTIVITIES] + [
         Query({"x": (100, 500), "z": (200, 800)}),
@@ -145,83 +155,74 @@ def test_kernel_identity_suite(kernels_setup):
             stats = flood.query_percell(query, visitor)
         reference.append((visitors, stats))
 
-    for tier in TIERS:
-        flood.use_kernel(tier)
-        for label, index in _variants(flood, process_backend):
-            for query, (expected, ref_stats) in zip(queries, reference):
-                for name, ref in expected.items():
-                    visitor = ref.fresh()
-                    stats = index.query(query, visitor)
-                    where = (tier, label, name)
-                    if name == "collect":
-                        assert np.array_equal(
-                            np.sort(visitor.result), np.sort(ref.result)
-                        ), where
-                    elif name in ("sum_f",):
-                        assert _close(float(visitor.result), float(ref.result)), where
-                    elif name in ("count", "sum_int", "avg_int", "min_f", "max_f"):
-                        # int aggregates and float MIN/MAX are byte-exact
-                        assert _close(visitor.result, ref.result, rel=0.0) or (
-                            visitor.result == ref.result
-                        ), where
-                    assert stats.points_scanned == ref_stats.points_scanned, where
-                    assert stats.points_matched == ref_stats.points_matched, where
-                    if label == "serial":
-                        assert stats.kernel_tier == tier, where
-    flood.use_kernel("numpy")
+    for label, index in _variants(flood, process_backend):
+        for query, (expected, ref_stats) in zip(queries, reference):
+            for name, ref in expected.items():
+                visitor = ref.fresh()
+                stats = index.query(query, visitor)
+                where = (label, name)
+                if name == "collect":
+                    assert np.array_equal(
+                        np.sort(visitor.result), np.sort(ref.result)
+                    ), where
+                elif name in ("sum_f",):
+                    assert _close(float(visitor.result), float(ref.result)), where
+                elif name in ("count", "sum_int", "avg_int", "min_f", "max_f"):
+                    # int aggregates and float MIN/MAX are byte-exact
+                    assert _close(visitor.result, ref.result, rel=0.0) or (
+                        visitor.result == ref.result
+                    ), where
+                assert stats.points_scanned == ref_stats.points_scanned, where
+                assert stats.points_matched == ref_stats.points_matched, where
 
 
 def test_kernel_sweep_and_speedups(kernels_setup):
     flood, process_backend = kernels_setup
-    for tier in TIERS:
-        warmup_kernels(tier)  # JIT compile off the timed path
+    warmup_kernels()  # JIT compile off the timed path
+    tier = resolve_kernel("auto")
 
     rows = []
-    timings: dict[tuple[str, str, float], float] = {}
-    # The classic per-run path (kernel=None) is the regression baseline.
-    for tier in (None,) + TIERS:
-        flood.use_kernel(tier)
-        for label, index in _variants(flood, process_backend):
-            for selectivity in SELECTIVITIES:
-                query = _query(selectivity)
-                index.query(query, CountVisitor())  # warm caches
-                seconds = _best_seconds(lambda: index.query(query, CountVisitor()))
-                sum_seconds = _best_seconds(
-                    lambda: index.query(query, SumVisitor("z"))
-                )
-                name = tier or "classic"
-                timings[(name, label, selectivity)] = seconds
-                rows.append(
-                    {
-                        "kernel": name,
-                        "backend": label,
-                        "selectivity": selectivity,
-                        "count_seconds": seconds,
-                        "sum_seconds": sum_seconds,
-                    }
-                )
-    flood.use_kernel("numpy")
+    for label, index in _variants(flood, process_backend):
+        for selectivity in SELECTIVITIES:
+            query = _query(selectivity)
+            index.query(query, CountVisitor())  # warm caches
+            rows.append(
+                {
+                    "kernel": tier,
+                    "backend": label,
+                    "selectivity": selectivity,
+                    "count_seconds": _best_seconds(
+                        lambda: index.query(query, CountVisitor())
+                    ),
+                    "sum_seconds": _best_seconds(
+                        lambda: index.query(query, SumVisitor("z"))
+                    ),
+                }
+            )
 
-    print(f"\nkernel sweep ({ROWS} rows, {CORES} cores):")
+    print(f"\nkernel sweep ({ROWS} rows, {CORES} cores, {tier} scan path):")
     for row in rows:
         print(
-            f"  {row['kernel']:>7s} on {row['backend']:>7s} @ "
-            f"sel={row['selectivity']:<5}: count {row['count_seconds'] * 1e3:7.2f} ms, "
+            f"  {row['backend']:>7s} @ sel={row['selectivity']:<5}: "
+            f"count {row['count_seconds'] * 1e3:7.2f} ms, "
             f"sum {row['sum_seconds'] * 1e3:7.2f} ms"
         )
 
     low = min(SELECTIVITIES)
-    fused_speedup = (
-        timings[("classic", "serial", low)] / timings[("numpy", "serial", low)]
-    )
-    print(f"  numpy fused over classic per-run (serial, sel={low}): "
-          f"{fused_speedup:.2f}x")
+    groups = _scan_groups(flood, _query(low))
+    table = flood.table
+
+    def scan(kernel):
+        for bounds, spans in groups:
+            scan_runs(table, bounds, spans, CountVisitor(), kernel=kernel)
+
+    classic_seconds = _best_seconds(lambda: scan(None))
+    print(f"  classic scan_runs (sel={low}): {classic_seconds * 1e3:.2f} ms")
     numba_speedup = None
-    if "numba" in TIERS:
-        numba_speedup = (
-            timings[("numpy", "serial", low)] / timings[("numba", "serial", low)]
-        )
-        print(f"  numba over numpy (serial, sel={low}): {numba_speedup:.2f}x")
+    if numba_available():
+        numba_seconds = _best_seconds(lambda: scan(get_kernel("numba")))
+        numba_speedup = classic_seconds / numba_seconds
+        print(f"  numba over classic scan_runs (sel={low}): {numba_speedup:.2f}x")
 
     write_json_result(
         "BENCH_kernels",
@@ -230,24 +231,16 @@ def test_kernel_sweep_and_speedups(kernels_setup):
             "cores": CORES,
             "numba_available": numba_available(),
             "sweep": rows,
-            "numpy_fused_over_classic": fused_speedup,
-            "numba_over_numpy": numba_speedup,
+            "classic_scan_seconds": classic_seconds,
+            "numba_over_classic": numba_speedup,
         },
     )
 
-    fused_message = (
-        f"numpy fused kernel only {fused_speedup:.2f}x over the classic "
-        f"per-run path (need >= {MIN_FUSED_SPEEDUP}x)"
-    )
-    if REQUIRE_SPEEDUP:
-        assert fused_speedup >= MIN_FUSED_SPEEDUP, fused_message
-    elif fused_speedup < MIN_FUSED_SPEEDUP:
-        print(f"  WARNING (not asserted): {fused_message}")
-
     if numba_speedup is not None:
         numba_message = (
-            f"numba tier only {numba_speedup:.2f}x over numpy on the "
-            f"low-selectivity COUNT (need >= {MIN_NUMBA_SPEEDUP}x)"
+            f"numba tier only {numba_speedup:.2f}x over the classic "
+            f"scan_runs on the low-selectivity COUNT (need >= "
+            f"{MIN_NUMBA_SPEEDUP}x)"
         )
         if REQUIRE_SPEEDUP:
             assert numba_speedup >= MIN_NUMBA_SPEEDUP, numba_message

@@ -134,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard the table one shard per core and scan on the thread pool "
         "or on a zero-copy worker-process pool (CPU-bound visitors)",
     )
-    throughput.add_argument(
-        "--kernel",
-        choices=["auto", "numba", "numpy"],
-        default="auto",
-        help="fused scan-kernel tier: auto (default) compiles with numba "
-        "when installed and falls back to the always-available numpy "
-        "tier; an explicit 'numba' without numba installed is an error",
-    )
     throughput.add_argument("--seed", type=int, default=7)
 
     serve = sub.add_parser(
@@ -170,14 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan backend for the sharded index (ignored with --shards 1): "
         "thread (default) scans shards on the process-wide thread pool, "
         "process on a zero-copy worker-process pool, serial inline",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=["auto", "numba", "numpy"],
-        default="auto",
-        help="fused scan-kernel tier (see `throughput`); kernels are "
-        "pre-warmed at startup so first-call JIT compilation never "
-        "lands on the event loop",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64, help="micro-batch size bound"
@@ -417,18 +401,11 @@ def _cmd_throughput(args) -> int:
     from repro.bench.harness import build_flood
     from repro.core.engine import BatchQueryEngine
     from repro.datasets import load
+    from repro.storage.kernels import resolve_kernel
     from repro.storage.visitor import CountVisitor
 
     if args.queries < 1:
         print("throughput needs --queries >= 1", file=sys.stderr)
-        return 2
-    from repro.errors import QueryError
-    from repro.storage.kernels import resolve_kernel
-
-    try:
-        kernel_tier = resolve_kernel(args.kernel)
-    except QueryError as exc:  # explicit --kernel numba without numba
-        print(str(exc), file=sys.stderr)
         return 2
     print(f"Loading {args.dataset} at {args.rows} rows...")
     bundle = load(
@@ -453,8 +430,7 @@ def _cmd_throughput(args) -> int:
             f"Scan backend: {args.backend} "
             f"({flood.effective_shards} storage shards)"
         )
-    flood.use_kernel(args.kernel)
-    print(f"Scan kernels: {kernel_tier} tier")
+    print(f"Scan kernels: {resolve_kernel('auto')} tier")
     engine = BatchQueryEngine(flood, workers=args.workers)
     try:
         engine.run(queries[: min(20, len(queries))])  # warmup
@@ -546,18 +522,8 @@ def _cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    from repro.errors import QueryError
-    from repro.storage.kernels import warmup_kernels
-
-    try:
-        # Fail an unavailable explicit tier before dataset load/recovery.
-        from repro.storage.kernels import resolve_kernel
-
-        resolve_kernel(args.kernel)
-    except QueryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     from repro.core.durable import DurableDeltaFlood
+    from repro.storage.kernels import warmup_kernels
 
     # Warm restart: a data dir with a snapshot already holds the
     # clustered table AND the learned layout — skip the dataset
@@ -589,7 +555,6 @@ def _cmd_serve(args) -> int:
             merge_threshold=None,
             num_shards=None if args.shards == 1 else args.shards,
             backend=None if args.shards == 1 else args.backend,
-            kernel=args.kernel,
         )
         if recovering:
             flood = DurableDeltaFlood.open(
@@ -639,7 +604,7 @@ def _cmd_serve(args) -> int:
         if args.adaptive:
             print("Adaptive re-layout: on")
     else:
-        flood = FloodIndex(layout, kernel=args.kernel).build(bundle.table)
+        flood = FloodIndex(layout).build(bundle.table)
         if args.shards != 1:
             flood = ShardedFloodIndex.wrap(
                 flood,
@@ -701,7 +666,7 @@ def _cmd_serve(args) -> int:
     # Pre-warm before the loop exists: first-call JIT compilation takes
     # seconds under numba and must never run inside a serving coroutine
     # (the loop-safety checker flags warmup_kernels on the loop).
-    warm = warmup_kernels(args.kernel)
+    warm = warmup_kernels()
     print(
         f"Scan kernels: {warm['tier']} tier "
         f"(pre-warmed in {warm['seconds'] * 1e3:.0f} ms)"

@@ -40,9 +40,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import BuildError, QueryError
 from repro.query.stats import QueryStats
+from repro.storage.kernels import get_kernel
 from repro.storage.scan import scan_runs
 from repro.storage.shm import SharedMemoryTable, ShmTableHandle
-from repro.storage.visitor import RecordingVisitor, Visitor, is_mergeable
+from repro.storage.visitor import RecordingVisitor, is_mergeable
 
 #: Spec strings accepted by :func:`resolve_backend` (and the CLIs).
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -62,35 +63,6 @@ def _group_runs_by_code(
     for start, stop, code in runs:
         by_code.setdefault(code, []).append((start, stop))
     return by_code
-
-
-def _scan_worker_kernel(
-    table,
-    runs: list[tuple[int, int, int]],
-    bounds_by_code: dict[int, list[tuple[str, int, int]]],
-    visitor: Visitor,
-    kernel=None,
-) -> tuple[int, int, int, int]:
-    """One shard's scan: group by code, run the batched kernel per group.
-
-    ``kernel`` is an optional fused-scan tier
-    (:class:`~repro.storage.kernels.ScanKernel` or spec string) applied
-    to every fusable group. Returns ``(points_scanned, points_matched,
-    exact_points, kernel_groups)``; the visitor accumulates in place.
-    Shared by the process workers and the identity tests.
-    """
-    scanned = matched = exact = 0
-    local = QueryStats()
-    for code, spans in _group_runs_by_code(runs).items():
-        bounds = bounds_by_code[code]
-        got_scanned, got_matched = scan_runs(
-            table, bounds, spans, visitor, kernel=kernel, stats=local
-        )
-        scanned += got_scanned
-        matched += got_matched
-        if not bounds:
-            exact += got_scanned
-    return scanned, matched, exact, local.kernel_groups
 
 
 class ScanBackend(ABC):
@@ -177,8 +149,6 @@ class ThreadBackend(ScanBackend):
             stats.points_matched += local.points_matched
             stats.exact_points += local.exact_points
             stats.kernel_groups += local.kernel_groups
-            if local.kernel_tier:
-                stats.kernel_tier = local.kernel_tier
 
 
 # ---------------------------------------------------------------- processes
@@ -196,31 +166,33 @@ def _worker_attach(handle: ShmTableHandle) -> None:
 def _worker_scan(task):
     """One shard's scan inside a worker process.
 
-    ``task`` is ``(runs, bounds_by_code, prototype, kernel_tier)`` where
-    ``prototype`` is a fresh mergeable visitor (unpickled here into this
-    task's private accumulator) or ``None`` for the recording fallback,
-    and ``kernel_tier`` is the parent index's resolved fused-kernel tier
-    (or ``None``) — the tier string crosses the pool boundary, the
-    worker resolves its own process-local kernel singleton. Returns
-    ``(payload, scanned, matched, exact, kernel_groups)`` — the payload
-    is the filled visitor (compact partial aggregate) or the recorded
-    visits list.
+    ``task`` is ``(runs, bounds_by_code, prototype)`` where ``prototype``
+    is a fresh mergeable visitor (unpickled here into this task's private
+    accumulator) or ``None`` for the recording fallback. Runs are grouped
+    by code exactly as :meth:`FloodIndex.execute_plan` groups them, and
+    each group scans through this process's own :func:`get_kernel`.
+    Returns ``(payload, stats)`` — the payload is the filled visitor
+    (compact partial aggregate) or the recorded visits list, the stats
+    carry the shard's scan counters.
     """
-    runs, bounds_by_code, prototype, kernel_tier = task
+    runs, bounds_by_code, prototype = task
     table = _WORKER_TABLE
     if table is None:  # pool used without its initializer; cannot happen via ProcessBackend
         raise BuildError("scan worker has no attached table")
-    kernel = None
-    if kernel_tier is not None:
-        from repro.storage.kernels import get_kernel
-
-        kernel = get_kernel(kernel_tier)
     visitor = prototype if prototype is not None else RecordingVisitor()
-    scanned, matched, exact, fused = _scan_worker_kernel(
-        table, runs, bounds_by_code, visitor, kernel=kernel
-    )
+    kernel = get_kernel()
+    local = QueryStats()
+    for code, spans in _group_runs_by_code(runs).items():
+        bounds = bounds_by_code[code]
+        scanned, matched = scan_runs(
+            table, bounds, spans, visitor, kernel=kernel, stats=local
+        )
+        local.points_scanned += scanned
+        local.points_matched += matched
+        if not bounds:
+            local.exact_points += scanned
     payload = visitor if prototype is not None else visitor.visits
-    return payload, scanned, matched, exact, fused
+    return payload, local
 
 
 class ProcessBackend(ScanBackend):
@@ -293,27 +265,22 @@ class ProcessBackend(ScanBackend):
             for code in codes
         }
         prototype = visitor.fresh() if is_mergeable(visitor) else None
-        kernel_tier = getattr(index, "kernel_tier", None)
-        if kernel_tier is not None:
-            stats.kernel_tier = kernel_tier
         futures = [
-            pool.submit(
-                _worker_scan, (shard_runs, bounds_by_code, prototype, kernel_tier)
-            )
+            pool.submit(_worker_scan, (shard_runs, bounds_by_code, prototype))
             for shard_runs in per_shard
         ]
         table = index.table
         for future in futures:  # shard order == storage order, deterministic
-            payload, scanned, matched, exact, fused = future.result()
+            payload, local = future.result()
             if prototype is not None:
                 visitor.merge(payload)
             else:
                 for start, stop, mask in payload:
                     visitor.visit(table, start, stop, mask)
-            stats.points_scanned += scanned
-            stats.points_matched += matched
-            stats.exact_points += exact
-            stats.kernel_groups += fused
+            stats.points_scanned += local.points_scanned
+            stats.points_matched += local.points_matched
+            stats.exact_points += local.exact_points
+            stats.kernel_groups += local.kernel_groups
 
     def shutdown(self) -> None:
         """Stop the worker pool and unlink owned shared memory (idempotent)."""

@@ -181,19 +181,6 @@ class DeltaBufferedFlood:
             raise BuildError(f"{self.name} index used before build()")
         return self._index
 
-    # ----------------------------------------------------------------- kernel
-    @property
-    def kernel_tier(self) -> str | None:
-        """The inner index's resolved fused-kernel tier (or None)."""
-        return self.index.kernel_tier
-
-    def use_kernel(self, kernel: str | None) -> str | None:
-        """Swap the fused-kernel tier on the inner index *and* the rebuild
-        configuration, so merges and re-layouts keep the new tier."""
-        old = self.index.use_kernel(kernel)
-        self._flood_kwargs["kernel"] = kernel
-        return old
-
     @property
     def buffered_rows(self) -> int:
         return len(next(iter(self._buffer.values()))) if self._buffer else 0

@@ -103,11 +103,6 @@ class BatchQueryEngine:
         index's own backend untouched. With the process backend, engine
         worker threads submit to one bounded process pool, so the
         combination cannot oversubscribe unboundedly.
-    kernel:
-        Optional fused scan-kernel spec (``'auto'`` / ``'numba'`` /
-        ``'numpy'``) applied to the index via
-        :meth:`FloodIndex.use_kernel`. ``None`` (default) leaves the
-        index's own kernel configuration untouched.
     """
 
     def __init__(
@@ -116,7 +111,6 @@ class BatchQueryEngine:
         workers: int = 1,
         executor=None,
         backend=None,
-        kernel=None,
     ):
         # Anything satisfying the queryable-index protocol serves: plain,
         # sharded, or delta-buffered (raises BuildError when not built).
@@ -128,13 +122,6 @@ class BatchQueryEngine:
                     "(ShardedFloodIndex.wrap)"
                 )
             index.use_backend(backend)
-        if kernel is not None:
-            if not hasattr(index, "use_kernel"):
-                raise QueryError(
-                    "kernel= needs an index with a fused-kernel tier "
-                    "(FloodIndex or a wrapper forwarding use_kernel)"
-                )
-            index.use_kernel(kernel)
         self.index = index
         self.workers = max(1, int(workers))
         self.executor = executor

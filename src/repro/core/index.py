@@ -45,7 +45,7 @@ from repro.errors import BuildError, SchemaError
 from repro.ml.plm import PiecewiseLinearModel, lockstep_searchsorted
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
-from repro.storage.kernels import get_kernel, resolve_kernel
+from repro.storage.kernels import get_kernel
 from repro.storage.scan import scan_filtered, scan_runs
 from repro.storage.table import Table
 from repro.storage.visitor import Visitor
@@ -157,12 +157,9 @@ class FloodIndex(BaseIndex):
     delta:
         PLM per-segment average error bound (paper default 50); used only
         under ``refinement='plm'``.
-    kernel:
-        Fused scan-kernel spec: ``'auto'`` (default; numba when
-        installed, else the always-available numpy tier), ``'numba'``,
-        ``'numpy'``, or ``None`` to scan through the classic per-run
-        path only. Resolved eagerly so ``'numba'`` on an install without
-        numba fails here, not mid-query.
+
+    Scans use numba's fused kernels when numba imports and the classic
+    ``scan_runs`` path otherwise (:func:`repro.storage.kernels.get_kernel`).
     """
 
     name = "Flood"
@@ -204,7 +201,6 @@ class FloodIndex(BaseIndex):
         flatten: str = "rmi",
         refinement: str = "binary",
         delta: float = 50.0,
-        kernel: str | None = "auto",
     ):
         super().__init__()
         if refinement not in _REFINEMENTS:
@@ -215,48 +211,6 @@ class FloodIndex(BaseIndex):
         self.flatten = flatten
         self.refinement = refinement
         self.delta = float(delta)
-        self._kernel_spec = kernel
-        self._kernel_tier = resolve_kernel(kernel) if kernel is not None else None
-        self._scan_kernel = None
-
-    # ----------------------------------------------------------------- kernel
-    @property
-    def kernel_spec(self) -> str | None:
-        """The configured kernel spec (``'auto'``/``'numba'``/``'numpy'``/None)."""
-        return self._kernel_spec
-
-    @property
-    def kernel_tier(self) -> str | None:
-        """The resolved fused-kernel tier this index scans with (or None)."""
-        return self._kernel_tier
-
-    @property
-    def scan_kernel(self):
-        """The resolved :class:`~repro.storage.kernels.ScanKernel` (or None).
-
-        Process-wide singleton per tier, cached on the instance so the
-        per-query path pays an attribute load, not a registry lookup.
-        """
-        if self._kernel_tier is None:
-            return None
-        kernel = self._scan_kernel
-        if kernel is None:
-            kernel = self._scan_kernel = get_kernel(self._kernel_tier)
-        return kernel
-
-    def use_kernel(self, kernel: str | None) -> str | None:
-        """Swap the fused-kernel tier; returns the previous resolved tier.
-
-        Accepts the same specs as the constructor; resolution is eager,
-        so an unavailable explicit ``'numba'`` fails here with the index
-        untouched.
-        """
-        tier = resolve_kernel(kernel) if kernel is not None else None
-        old = self._kernel_tier
-        self._kernel_spec = kernel
-        self._kernel_tier = tier
-        self._scan_kernel = None
-        return old
 
     # ------------------------------------------------------------------ build
     def _build(self, table: Table) -> None:
@@ -622,9 +576,7 @@ class FloodIndex(BaseIndex):
             runs = plan.coalesced_runs()
         if not runs:
             return
-        kernel = self.scan_kernel
-        if kernel is not None:
-            stats.kernel_tier = kernel.tier
+        kernel = get_kernel()
         by_code: dict[int, list[tuple[int, int]]] = {}
         for start, stop, code in runs:
             by_code.setdefault(code, []).append((start, stop))

@@ -159,9 +159,7 @@ class ShardedFloodIndex(FloodIndex):
         """Shard an already-built :class:`FloodIndex` without rebuilding.
 
         The returned index *shares* the source's clustered table and models
-        (no copy); only the shard boundaries are new. The source's fused
-        scan-kernel spec carries over (swap afterwards with
-        :meth:`FloodIndex.use_kernel`).
+        (no copy); only the shard boundaries are new.
         """
         index.table  # raises BuildError when not built
         sharded = cls(
@@ -173,7 +171,6 @@ class ShardedFloodIndex(FloodIndex):
             flatten=index.flatten,
             refinement=index.refinement,
             delta=index.delta,
-            kernel=index.kernel_spec,
         )
         for attr in FloodIndex._BUILT_STATE_ATTRS:
             if hasattr(index, attr):

@@ -23,11 +23,6 @@ class QueryStats:
     refine_time: float = 0.0
     scan_time: float = 0.0
     total_time: float = 0.0
-    #: Resolved fused-kernel tier the scan ran with ("numba" / "numpy";
-    #: "" when the index scans kernel-less). Flat fields, not a nested
-    #: dict: QueryStats is shallow-copied (``replace``) by the serving
-    #: cache and ``asdict``'d onto the wire.
-    kernel_tier: str = ""
     #: Residual-filter code groups answered by the fused single-pass
     #: kernel (the rest took the classic per-run path).
     kernel_groups: int = 0

@@ -503,9 +503,7 @@ class ReaderRuntime:
 
         def build():
             shared = SharedMemoryTable.attach(handle)
-            index = FloodIndex(
-                layout, kernel=self.config.get("kernel", "auto")
-            ).build_clustered(shared)
+            index = FloodIndex(layout).build_clustered(shared)
             return shared, index
 
         try:
@@ -655,15 +653,13 @@ def reader_main(config: dict) -> None:
     from repro.storage.kernels import warmup_kernels
     from repro.storage.shm import SharedMemoryTable
 
-    warmup_kernels(config.get("kernel", "auto"))
+    warmup_kernels()
     layout = GridLayout(
         tuple(config["layout_order"]),
         tuple(int(c) for c in config["layout_columns"]),
     )
     attachment = SharedMemoryTable.attach(config["handle"])
-    index = FloodIndex(
-        layout, kernel=config.get("kernel", "auto")
-    ).build_clustered(attachment)
+    index = FloodIndex(layout).build_clustered(attachment)
     index.generation = int(config["generation"])
     sock = make_reuseport_socket(config["host"], int(config["port"]))
     try:
@@ -762,7 +758,7 @@ def run_fleet(args, flood, cost_model) -> int:
     server.fleet_stats = runtime.fleet_stats
     if server.mutable is not None:
         server.mutable.on_commit = runtime.publish
-    warm = warmup_kernels(args.kernel)
+    warm = warmup_kernels()
     print(
         f"Scan kernels: {warm['tier']} tier "
         f"(pre-warmed in {warm['seconds'] * 1e3:.0f} ms)"
@@ -776,7 +772,6 @@ def run_fleet(args, flood, cost_model) -> int:
         "handle": handle,
         "layout_order": list(flood.layout.order),
         "layout_columns": list(flood.layout.columns),
-        "kernel": args.kernel,
         "workers": args.workers,
         "max_batch": args.max_batch,
         "max_delay": args.max_delay_ms / 1e3,

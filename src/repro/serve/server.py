@@ -495,11 +495,9 @@ class FloodServer:
             payload["cache"] = self.batcher.cache.stats_payload()
         if self.mutable is not None:
             payload["mutable"] = self.mutable.stats_payload()
-        # Which fused-kernel tier actually serves scans, plus process-wide
-        # fusion counters and the startup warm-up record.
-        payload["kernel"] = kernel_stats_payload(
-            getattr(self.engine.index, "kernel_tier", None)
-        )
+        # Which scan path serves this process, its fusion counters and the
+        # startup warm-up cost.
+        payload["kernel"] = kernel_stats_payload()
         if self.fleet_stats is not None:
             payload["fleet"] = self.fleet_stats()
         return payload

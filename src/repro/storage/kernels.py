@@ -1,4 +1,4 @@
-"""Fused scan kernels: residual filter + aggregate in one pass.
+"""Fused scan kernels: residual filter + aggregate in one compiled pass.
 
 The per-run scan path (:func:`repro.storage.scan.scan_runs`) pays numpy
 temporaries and Python-level visitor dispatch on every run: build a
@@ -10,17 +10,17 @@ answered in a *single fused pass*: decode each filter dimension once
 across all runs, check bounds and fold the aggregate in the same loop,
 and touch the visitor exactly once with the finished partial.
 
-Two implementations live behind one dispatch API:
-
-- ``numba`` — ``@numba.njit(nogil=True, cache=True)`` loops compiled per
-  dtype signature. ``nogil`` means the thread backend finally scales:
-  shard scans spend their time outside the GIL even for the Python-heavy
-  visitor shapes. numba is **never** a hard dependency; it is an extras
-  tag (``pip install repro[kernels]``) resolved at import time.
-- ``numpy`` — a vectorized fallback that is always present and always
-  tested. It computes aggregates directly from the combined mask
-  (``where=`` reductions) without materializing ``values[mask]`` row
-  copies.
+The kernels are ``@numba.njit(nogil=True, cache=True)`` loops compiled
+per dtype signature. ``nogil`` means the thread backend scales: shard
+scans spend their time outside the GIL even for the Python-heavy visitor
+shapes. numba is **never** a hard dependency; it is an extras tag
+(``pip install repro[kernels]``). The platform picks the scan path, no
+setting does: :func:`get_kernel` hands out the fused kernel when numba
+imports and ``None`` otherwise, and ``None`` means the classic
+``scan_runs`` path. Without numba the decorator is the identity, so the
+same kernel bodies still run as plain Python wherever a
+:class:`ScanKernel` is constructed directly — that is how the tests hold
+them to the classic path on every install.
 
 Dispatch rules (:meth:`ScanKernel.fused_scan`): the fused path fires only
 for the exact built-in mergeable visitor types (subclasses fall back —
@@ -29,11 +29,11 @@ when the residual filter is non-empty (exact runs keep the cumulative
 fast path). Anything else returns ``None`` and the caller runs the
 classic per-run path — the fallback guarantee is structural, not a mode.
 
-Float caveat: SUM/AVG over float64 accumulate in a different order per
-tier (numpy pairwise vs. one sequential loop), so float sums agree to
-~1e-9 relative tolerance rather than bit-for-bit; COUNT/MIN/MAX/collect
-and all-int64 aggregates are bit-identical across tiers. MIN/MAX over a
-match set containing NaN is NaN in every tier (numpy semantics).
+Float caveat: SUM/AVG over float64 accumulate in one sequential loop
+here and pairwise per run in numpy, so float sums agree with the classic
+path to ~1e-9 relative tolerance rather than bit-for-bit;
+COUNT/MIN/MAX/collect and all-int64 aggregates are bit-identical. MIN/MAX
+over a match set containing NaN is NaN on both paths (numpy semantics).
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ import time
 import numpy as np
 
 from repro.errors import QueryError
-# One source of truth for the gather-vs-slice decode heuristic (scan.py
-# imports this module lazily, so there is no import cycle).
-from repro.storage.scan import _GATHER_MAX_RUN, _GATHER_MIN_RUNS
+from repro.storage.scan import gather_runs
 from repro.storage.visitor import (
     AvgVisitor,
     CollectVisitor,
@@ -58,15 +56,20 @@ from repro.storage.visitor import (
     fold_min,
 )
 
-#: Spec strings accepted by :func:`resolve_kernel` (and the CLIs).
+#: Spec strings accepted by :func:`resolve_kernel`; ``'numpy'`` names
+#: the classic ``scan_runs`` path.
 KERNEL_NAMES = ("auto", "numba", "numpy")
 
-try:  # soft dependency: the numpy tier must work without numba installed
-    from numba import njit as _njit
+try:  # soft dependency: the classic path must work without numba installed
+    from numba import njit
 
     _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised on numba-less installs
+    _njit = njit(nogil=True, cache=True)
+except ImportError:  # pragma: no cover - exercised on numba-less installs
     _HAVE_NUMBA = False
+
+    def _njit(fn):
+        return fn
 
 
 def numba_available() -> bool:
@@ -75,7 +78,7 @@ def numba_available() -> bool:
 
 
 def resolve_kernel(spec: str) -> str:
-    """Resolve a kernel spec to a concrete tier name.
+    """Resolve a kernel spec to ``'numba'`` (fused) or ``'numpy'`` (classic).
 
     ``'auto'`` picks ``'numba'`` when numba imports, else ``'numpy'``.
     An explicit ``'numba'`` on an install without numba is a
@@ -91,152 +94,171 @@ def resolve_kernel(spec: str) -> str:
     if spec == "numba" and not _HAVE_NUMBA:
         raise QueryError(
             "the numba kernel tier needs numba installed "
-            "(pip install repro[kernels]); use --kernel auto for the "
-            "always-available numpy fallback"
+            "(pip install repro[kernels]); 'auto' falls back to the "
+            "classic numpy scan"
         )
     return spec
 
 
-# ------------------------------------------------------------- numba tier
+# ----------------------------------------------------------------- kernels
 # Compiled once per dtype signature, lazily on first call (or eagerly via
 # warmup_kernels). All kernels take the residual filter split by dtype:
 # ivals is a (k_int, n) int64 matrix with per-dim inclusive bounds
 # ilo/ihi, fvals the float64 counterpart. Query bounds are always ints
-# (Query coerces), so int dims compare exactly and float dims compare
-# against exact float64 conversions — identical to numpy broadcasting.
-# NaN never matches a bound check (`v >= lo` is False), same as numpy.
+# (Query coerces), so int dims compare exactly (see _int64_bounds) and
+# float dims compare against exact float64 conversions — identical to
+# numpy broadcasting. NaN never matches a bound check (`v >= lo` is
+# False), same as numpy.
 
-if _HAVE_NUMBA:
 
-    @_njit(nogil=True, cache=True)
-    def _nb_count(ivals, ilo, ihi, fvals, flo, fhi):
-        matched = 0
-        for j in range(ivals.shape[1]):
-            ok = True
-            for d in range(ivals.shape[0]):
-                v = ivals[d, j]
-                if v < ilo[d] or v > ihi[d]:
+@_njit
+def _nb_count(ivals, ilo, ihi, fvals, flo, fhi):
+    matched = 0
+    for j in range(ivals.shape[1]):
+        ok = True
+        for d in range(ivals.shape[0]):
+            v = ivals[d, j]
+            if v < ilo[d] or v > ihi[d]:
+                ok = False
+                break
+        if ok:
+            for d in range(fvals.shape[0]):
+                v = fvals[d, j]
+                if not (v >= flo[d] and v <= fhi[d]):
                     ok = False
                     break
-            if ok:
-                for d in range(fvals.shape[0]):
-                    v = fvals[d, j]
-                    if not (v >= flo[d] and v <= fhi[d]):
-                        ok = False
-                        break
-            if ok:
-                matched += 1
-        return matched
+        if ok:
+            matched += 1
+    return matched
 
-    @_njit(nogil=True, cache=True)
-    def _nb_sum_int(ivals, ilo, ihi, fvals, flo, fhi, agg):
-        matched = 0
-        total = 0
-        for j in range(agg.shape[0]):
-            ok = True
-            for d in range(ivals.shape[0]):
-                v = ivals[d, j]
-                if v < ilo[d] or v > ihi[d]:
+
+@_njit
+def _nb_sum_int(ivals, ilo, ihi, fvals, flo, fhi, agg):
+    matched = 0
+    total = 0
+    for j in range(agg.shape[0]):
+        ok = True
+        for d in range(ivals.shape[0]):
+            v = ivals[d, j]
+            if v < ilo[d] or v > ihi[d]:
+                ok = False
+                break
+        if ok:
+            for d in range(fvals.shape[0]):
+                v = fvals[d, j]
+                if not (v >= flo[d] and v <= fhi[d]):
                     ok = False
                     break
-            if ok:
-                for d in range(fvals.shape[0]):
-                    v = fvals[d, j]
-                    if not (v >= flo[d] and v <= fhi[d]):
-                        ok = False
-                        break
-            if ok:
-                matched += 1
-                total += agg[j]
-        return matched, total
+        if ok:
+            matched += 1
+            total += agg[j]
+    return matched, total
 
-    @_njit(nogil=True, cache=True)
-    def _nb_sum_float(ivals, ilo, ihi, fvals, flo, fhi, agg):
-        matched = 0
-        total = 0.0
-        for j in range(agg.shape[0]):
-            ok = True
-            for d in range(ivals.shape[0]):
-                v = ivals[d, j]
-                if v < ilo[d] or v > ihi[d]:
+
+@_njit
+def _nb_sum_float(ivals, ilo, ihi, fvals, flo, fhi, agg):
+    matched = 0
+    total = 0.0
+    for j in range(agg.shape[0]):
+        ok = True
+        for d in range(ivals.shape[0]):
+            v = ivals[d, j]
+            if v < ilo[d] or v > ihi[d]:
+                ok = False
+                break
+        if ok:
+            for d in range(fvals.shape[0]):
+                v = fvals[d, j]
+                if not (v >= flo[d] and v <= fhi[d]):
                     ok = False
                     break
-            if ok:
-                for d in range(fvals.shape[0]):
-                    v = fvals[d, j]
-                    if not (v >= flo[d] and v <= fhi[d]):
-                        ok = False
-                        break
-            if ok:
-                matched += 1
-                total += agg[j]
-        return matched, total
+        if ok:
+            matched += 1
+            total += agg[j]
+    return matched, total
 
-    @_njit(nogil=True, cache=True)
-    def _nb_minmax(ivals, ilo, ihi, fvals, flo, fhi, agg):
-        # mn/mx are only meaningful when matched > 0; NaN aggregates are
-        # tracked explicitly (comparisons against NaN are always False,
-        # so a plain min/max loop would silently drop them).
-        matched = 0
-        has_nan = False
-        first = True
-        mn = agg[0]
-        mx = agg[0]
-        for j in range(agg.shape[0]):
-            ok = True
-            for d in range(ivals.shape[0]):
-                v = ivals[d, j]
-                if v < ilo[d] or v > ihi[d]:
+
+@_njit
+def _nb_minmax(ivals, ilo, ihi, fvals, flo, fhi, agg):
+    # mn/mx are only meaningful when matched > 0; NaN aggregates are
+    # tracked explicitly (comparisons against NaN are always False,
+    # so a plain min/max loop would silently drop them).
+    matched = 0
+    has_nan = False
+    first = True
+    mn = agg[0]
+    mx = agg[0]
+    for j in range(agg.shape[0]):
+        ok = True
+        for d in range(ivals.shape[0]):
+            v = ivals[d, j]
+            if v < ilo[d] or v > ihi[d]:
+                ok = False
+                break
+        if ok:
+            for d in range(fvals.shape[0]):
+                v = fvals[d, j]
+                if not (v >= flo[d] and v <= fhi[d]):
                     ok = False
                     break
-            if ok:
-                for d in range(fvals.shape[0]):
-                    v = fvals[d, j]
-                    if not (v >= flo[d] and v <= fhi[d]):
-                        ok = False
-                        break
-            if ok:
-                matched += 1
-                a = agg[j]
-                if a != a:
-                    has_nan = True
-                elif first:
+        if ok:
+            matched += 1
+            a = agg[j]
+            if a != a:
+                has_nan = True
+            elif first:
+                mn = a
+                mx = a
+                first = False
+            else:
+                if a < mn:
                     mn = a
+                if a > mx:
                     mx = a
-                    first = False
-                else:
-                    if a < mn:
-                        mn = a
-                    if a > mx:
-                        mx = a
-        return matched, mn, mx, has_nan
+    return matched, mn, mx, has_nan
 
-    @_njit(nogil=True, cache=True)
-    def _nb_select(ivals, ilo, ihi, fvals, flo, fhi, out):
-        # out is a caller-allocated int64[n]; the first `matched` slots
-        # receive the *positions* (0-based within the batch) of matches.
-        matched = 0
-        for j in range(ivals.shape[1]):
-            ok = True
-            for d in range(ivals.shape[0]):
-                v = ivals[d, j]
-                if v < ilo[d] or v > ihi[d]:
+
+@_njit
+def _nb_select(ivals, ilo, ihi, fvals, flo, fhi, out):
+    # out is a caller-allocated int64[n]; the first `matched` slots
+    # receive the *positions* (0-based within the batch) of matches.
+    matched = 0
+    for j in range(ivals.shape[1]):
+        ok = True
+        for d in range(ivals.shape[0]):
+            v = ivals[d, j]
+            if v < ilo[d] or v > ihi[d]:
+                ok = False
+                break
+        if ok:
+            for d in range(fvals.shape[0]):
+                v = fvals[d, j]
+                if not (v >= flo[d] and v <= fhi[d]):
                     ok = False
                     break
-            if ok:
-                for d in range(fvals.shape[0]):
-                    v = fvals[d, j]
-                    if not (v >= flo[d] and v <= fhi[d]):
-                        ok = False
-                        break
-            if ok:
-                out[matched] = j
-                matched += 1
-        return matched
+        if ok:
+            out[matched] = j
+            matched += 1
+    return matched
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-_INT64_MIN = np.iinfo(np.int64).min
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def _int64_bounds(low: int, high: int) -> tuple[int, int]:
+    """Inclusive int bounds as int64 values admitting the same int64 rows.
+
+    Query bounds are unbounded Python ints. A bound past the int64 range
+    admits every value or none, so it must not be clipped onto the range
+    edge, where it would admit ``INT64_MAX`` (or ``INT64_MIN``) itself:
+    a range entirely outside int64 becomes the empty ``(1, 0)``, and an
+    out-of-range bound on the open side drops to the edge it covers.
+    """
+    if low > _INT64_MAX or high < _INT64_MIN:
+        return 1, 0
+    return max(low, _INT64_MIN), min(high, _INT64_MAX)
+
 
 #: Fused aggregate kind per *exact* visitor type. Subclasses deliberately
 #: miss: they may override ``visit`` and must see every call.
@@ -253,28 +275,24 @@ _SUPPORTED_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 class ScanKernel:
-    """One tier's fused-scan entry point plus usage counters.
+    """The fused-scan entry point plus usage counters.
 
-    Instances are process-wide singletons per tier (:func:`get_kernel`);
-    the counters feed the server's ``kernel`` stats block. Counter
-    updates are locked — the thread backend drives one kernel from many
-    shard workers at once.
+    :func:`get_kernel` hands out one process-wide instance, and only when
+    numba imports; its counters feed the server's ``kernel`` stats block.
+    Counter updates are locked — the thread backend drives one kernel
+    from many shard workers at once. Constructed directly on an install
+    without numba, an instance runs the kernel bodies as plain Python.
     """
 
-    __slots__ = ("tier", "fused_groups", "fused_rows", "_lock")
+    __slots__ = ("fused_groups", "fused_rows", "_lock")
 
-    def __init__(self, tier: str):
-        if tier not in ("numba", "numpy"):
-            raise QueryError(f"unknown resolved kernel tier {tier!r}")
-        if tier == "numba" and not _HAVE_NUMBA:
-            raise QueryError("numba kernel tier constructed without numba")
-        self.tier = tier
+    def __init__(self):
         self.fused_groups = 0
         self.fused_rows = 0
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScanKernel(tier={self.tier!r}, fused_groups={self.fused_groups})"
+        return f"ScanKernel(fused_groups={self.fused_groups})"
 
     def stats_payload(self) -> dict:
         with self._lock:
@@ -298,12 +316,11 @@ class ScanKernel:
         per-run path). ``bounds`` must be non-empty — exact runs are the
         cumulative-aggregate path's business, not ours.
 
-        Decode strategy mirrors ``scan_runs``: many short runs are
-        gathered into one batch (one ``take`` per dimension), while few
-        or long runs decode as contiguous per-run slices — a gather over
-        long runs costs more than the slice decodes it replaces. Either
-        way the filter and the aggregate fuse: no ``values[mask]`` row
-        copies, no per-run visitor dispatch.
+        Decode strategy is ``scan_runs``'s (:func:`gather_runs`): many
+        short runs are gathered into one batch (one ``take`` per
+        dimension), while few or long runs decode as contiguous per-run
+        slices. Either way the filter and the aggregate fuse: no
+        ``values[mask]`` row copies, no per-run visitor dispatch.
         """
         kind = _FUSED_KINDS.get(type(visitor))
         if kind is None or not bounds:
@@ -325,27 +342,20 @@ class ScanKernel:
         for dim in dims:
             if table.values(dim, probe, probe + 1).dtype not in _SUPPORTED_DTYPES:
                 return None
-        lengths = [stop - start for start, stop in runs]
-        total = sum(lengths)
-        gather = (
-            len(runs) >= _GATHER_MIN_RUNS
-            and total <= len(runs) * _GATHER_MAX_RUN
-        )
-        matched = 0
-        if gather and len(runs) > 1:
-            starts = np.array([start for start, _ in runs], dtype=np.int64)
-            lengths = np.asarray(lengths, dtype=np.int64)
-            offsets = np.cumsum(lengths) - lengths
-            indices = np.repeat(starts - offsets, lengths)
-            indices += np.arange(total, dtype=np.int64)
-            matched = self._scan_batch(
-                table, bounds, agg_dim, kind, visitor, 0, total, indices
-            )
-        else:
+        gathered = gather_runs(runs)
+        if gathered is None:
+            total = matched = 0
             for start, stop in runs:
+                total += stop - start
                 matched += self._scan_batch(
                     table, bounds, agg_dim, kind, visitor, start, stop, None
                 )
+        else:
+            indices = gathered[0]
+            total = indices.size
+            matched = self._scan_batch(
+                table, bounds, agg_dim, kind, visitor, 0, total, indices
+            )
         self._count_fused(total)
         return total, matched
 
@@ -359,59 +369,17 @@ class ScanKernel:
             def column(dim):
                 return table.take(dim, indices)
 
-        filters = [(column(dim), low, high) for dim, low, high in bounds]
-        agg_values = column(agg_dim) if agg_dim is not None else None
-        if self.tier == "numba":
-            return self._run_numba(
-                filters, agg_values, stop - start, kind, visitor, start, indices
-            )
-        return self._run_numpy(filters, agg_values, kind, visitor, start, indices)
-
-    # ---------------------------------------------------------- numpy tier
-    def _run_numpy(self, filters, agg_values, kind, visitor, start, indices):
-        mask = None
-        for values, low, high in filters:
-            dim_mask = (values >= low) & (values <= high)
-            mask = dim_mask if mask is None else (mask & dim_mask)
-        matched = int(np.count_nonzero(mask))
-        if kind == "count":
-            visitor.count += matched
-        elif kind == "sum":
-            if matched:
-                visitor.total += _masked_sum(agg_values, mask)
-        elif kind == "avg":
-            if matched:
-                visitor._sum.total += _masked_sum(agg_values, mask)
-            visitor._count.count += matched
-        elif kind == "min":
-            if matched:
-                initial = np.inf if agg_values.dtype.kind == "f" else _INT64_MAX
-                local = np.min(agg_values, where=mask, initial=initial).item()
-                visitor._min = fold_min(visitor._min, local)
-        elif kind == "max":
-            if matched:
-                initial = -np.inf if agg_values.dtype.kind == "f" else _INT64_MIN
-                local = np.max(agg_values, where=mask, initial=initial).item()
-                visitor._max = fold_max(visitor._max, local)
-        else:  # collect
-            if matched:
-                if indices is None:
-                    ids = np.nonzero(mask)[0] + start
-                else:
-                    ids = indices[mask]
-                visitor._chunks.append(ids)
-        return matched
-
-    # ---------------------------------------------------------- numba tier
-    def _run_numba(self, filters, agg_values, total, kind, visitor, start, indices):
+        total = stop - start
         int_rows, int_lo, int_hi = [], [], []
         flt_rows, flt_lo, flt_hi = [], [], []
-        for values, low, high in filters:
+        for dim, low, high in bounds:
+            values = column(dim)
             if values.dtype.kind == "f":
                 flt_rows.append(values)
                 flt_lo.append(low)
                 flt_hi.append(high)
             else:
+                low, high = _int64_bounds(low, high)
                 int_rows.append(values)
                 int_lo.append(low)
                 int_hi.append(high)
@@ -432,6 +400,7 @@ class ScanKernel:
             fvals = np.empty((0, total), dtype=np.float64)
         flo = np.asarray(flt_lo, dtype=np.float64)
         fhi = np.asarray(flt_hi, dtype=np.float64)
+        agg_values = column(agg_dim) if agg_dim is not None else None
         if kind == "count":
             matched = int(_nb_count(ivals, ilo, ihi, fvals, flo, fhi))
             visitor.count += matched
@@ -483,49 +452,38 @@ class ScanKernel:
         return matched
 
 
-def _masked_sum(values: np.ndarray, mask: np.ndarray):
-    """SUM over the masked rows without gathering ``values[mask]``."""
-    return np.sum(values, where=mask, dtype=values.dtype).item()
+# -------------------------------------------------------------- singleton
+_KERNEL = ScanKernel()
+
+#: Last warm-up cost, surfaced in the server's kernel stats block.
+_WARMUP = {"seconds": 0.0}
 
 
-# ------------------------------------------------------------- singletons
-_KERNELS: dict[str, ScanKernel] = {}
-_KERNELS_LOCK = threading.Lock()
+def get_kernel(spec: str = "auto") -> ScanKernel | None:
+    """The process-wide fused :class:`ScanKernel`, or ``None`` when
+    ``spec`` resolves to ``'numpy'`` (the classic ``scan_runs`` path).
 
-#: Last warm-up record, surfaced in the server's kernel stats block.
-_WARMUP = {"tier": None, "seconds": 0.0}
-
-
-def get_kernel(spec: str) -> ScanKernel:
-    """The process-wide :class:`ScanKernel` singleton for ``spec``.
-
-    Sharing one instance per tier keeps the usage counters global and —
-    for numba — shares the compiled dispatch cache across every index
-    and backend in the process.
+    Sharing one instance keeps the usage counters global and shares the
+    compiled dispatch cache across every index and backend in the
+    process.
     """
-    tier = resolve_kernel(spec)
-    with _KERNELS_LOCK:
-        kernel = _KERNELS.get(tier)
-        if kernel is None:
-            kernel = _KERNELS[tier] = ScanKernel(tier)
-        return kernel
+    return _KERNEL if resolve_kernel(spec) == "numba" else None
 
 
-def warmup_kernels(kernel: str = "auto") -> dict:
+def warmup_kernels() -> dict:
     """Compile every fused kernel signature now, off the serving path.
 
     numba compiles lazily on first call — seconds of JIT work that must
     never land on a serving event loop (the loop-safety checker flags
     calls reachable from coroutines). ``repro serve`` calls this once at
-    startup, before binding the socket. The numpy tier has nothing to
-    compile; warm-up is a no-op that still records the resolved tier.
+    startup, before binding the socket. Without numba there is nothing
+    to compile and warm-up is a no-op.
 
-    Returns ``{"tier": ..., "seconds": ...}`` (also surfaced in the
-    server's ``kernel`` stats block).
+    Returns ``{"tier": ..., "seconds": ...}``; the seconds are also
+    surfaced in the server's ``kernel`` stats block.
     """
-    tier = resolve_kernel(kernel)
     start = time.perf_counter()
-    if tier == "numba":
+    if _HAVE_NUMBA:
         ivals = np.zeros((1, 2), dtype=np.int64)
         ibounds = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
         fvals = np.zeros((1, 2), dtype=np.float64)
@@ -541,29 +499,21 @@ def warmup_kernels(kernel: str = "auto") -> dict:
         _nb_minmax(*args, fagg)
         _nb_select(*args, out)
     seconds = time.perf_counter() - start
-    _WARMUP["tier"] = tier
     _WARMUP["seconds"] = seconds
-    return {"tier": tier, "seconds": seconds}
+    return {"tier": resolve_kernel("auto"), "seconds": seconds}
 
 
-def stats_payload(tier: str | None = None) -> dict:
+def stats_payload() -> dict:
     """The ``kernel`` observability block (server stats op).
 
-    ``tier`` is the serving index's resolved tier (``None`` when the
-    index runs kernel-less). Per-tier counters cover every kernel used
-    in this process — with the process scan backend, worker-side fusions
-    count in the workers, so the per-query truth is
-    ``QueryStats.kernel_groups``, not these process-local totals.
+    ``tier`` is the scan path this process serves with. The fusion
+    counters cover this process only — with the process scan backend,
+    worker-side fusions count in the workers, so the per-query truth is
+    ``QueryStats.kernel_groups``.
     """
-    payload = {
-        "tier": tier,
-        "numba_available": numba_available(),
-        "warmup_tier": _WARMUP["tier"],
+    return {
+        "tier": resolve_kernel("auto"),
+        "numba_available": _HAVE_NUMBA,
         "warmup_seconds": _WARMUP["seconds"],
+        **_KERNEL.stats_payload(),
     }
-    with _KERNELS_LOCK:
-        kernels = dict(_KERNELS)
-    payload["tiers"] = {
-        name: kernel.stats_payload() for name, kernel in sorted(kernels.items())
-    }
-    return payload

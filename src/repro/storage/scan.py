@@ -144,10 +144,38 @@ def split_runs(
     return per_shard
 
 
-#: scan_runs switches to one gathered decode when there are at least this
-#: many runs and they average fewer than _GATHER_MAX_RUN rows each.
+#: Runs decode with one gather when there are at least this many of them
+#: and they average fewer than _GATHER_MAX_RUN rows each.
 _GATHER_MIN_RUNS = 8
 _GATHER_MAX_RUN = 256
+
+
+def gather_runs(
+    runs: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row ids of ``runs`` concatenated, when one gathered decode pays.
+
+    Many short runs — the typical shape after per-cell sort-dimension
+    refinement — decode faster with one ``take`` per dimension than with
+    one slice decode per run per dimension; a gather over few or long
+    runs costs more than the slices it replaces. Returns ``(indices,
+    offsets)``, where ``offsets[i]`` is run ``i``'s first position in
+    ``indices``, or ``None`` when the runs should decode as contiguous
+    slices (also whenever a run is empty: ``np.add.reduceat`` misreads
+    zero-length segments).
+    """
+    if len(runs) < _GATHER_MIN_RUNS:
+        return None
+    starts = np.array([start for start, _ in runs], dtype=np.int64)
+    lengths = np.array([stop for _, stop in runs], dtype=np.int64) - starts
+    total = int(lengths.sum())
+    if total > len(runs) * _GATHER_MAX_RUN or int(lengths.min()) <= 0:
+        return None
+    offsets = np.cumsum(lengths) - lengths
+    # Per-position run base plus the position's offset within its run.
+    indices = np.repeat(starts - offsets, lengths)
+    indices += np.arange(total, dtype=np.int64)
+    return indices, offsets
 
 
 def scan_runs(
@@ -161,11 +189,10 @@ def scan_runs(
     """Scan a batch of physical runs sharing one residual filter.
 
     The batched counterpart of :func:`scan_filtered`, used by the vectorized
-    Flood query path after coalescing storage-adjacent cells. For many
-    short runs — the typical shape after per-cell sort-dimension
-    refinement — all runs are decoded with one gather per filter dimension
-    and masked in a single vectorized pass, instead of one slice decode
-    per run per dimension.
+    Flood query path after coalescing storage-adjacent cells. When
+    :func:`gather_runs` says so, all runs are decoded with one gather per
+    filter dimension and masked in a single vectorized pass, instead of
+    one slice decode per run per dimension.
 
     Parameters
     ----------
@@ -182,11 +209,12 @@ def scan_runs(
     visitor:
         Aggregation visitor fed each run that has at least one match.
     kernel:
-        Optional fused-scan kernel (a
-        :class:`repro.storage.kernels.ScanKernel` or a spec string).
-        When the visitor × dtype combination is fusable, filter and
-        aggregate run as one pass and the per-run visitor loop is
-        skipped; otherwise this path falls through unchanged.
+        Optional fused-scan kernel
+        (:class:`repro.storage.kernels.ScanKernel`, as returned by
+        ``get_kernel()``). When the visitor × dtype combination is
+        fusable, filter and aggregate run as one pass and the per-run
+        visitor loop is skipped; otherwise this path falls through
+        unchanged.
     stats:
         Optional :class:`~repro.query.stats.QueryStats`;
         ``kernel_groups`` is bumped when the fused path answered.
@@ -203,43 +231,26 @@ def scan_runs(
             scanned += stop - start
         return scanned, scanned
     if kernel is not None:
-        if isinstance(kernel, str):
-            from repro.storage.kernels import get_kernel
-
-            kernel = get_kernel(kernel)
         fused = kernel.fused_scan(table, bounds, runs, visitor)
         if fused is not None:
             if stats is not None:
                 stats.kernel_groups += 1
             return fused
-    if len(runs) >= _GATHER_MIN_RUNS:
-        starts = np.array([start for start, _ in runs], dtype=np.int64)
-        stops = np.array([stop for _, stop in runs], dtype=np.int64)
-        lengths = stops - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return 0, 0
-        # reduceat misreads zero-length segments, so empty runs (possible
-        # from external callers) take the per-run path.
-        if total <= len(runs) * _GATHER_MAX_RUN and int(lengths.min()) > 0:
-            ends = np.cumsum(lengths)
-            offsets = ends - lengths
-            # Row ids of every run, concatenated: per-position run base plus
-            # the position's offset within its run.
-            indices = np.repeat(starts - offsets, lengths)
-            indices += np.arange(total, dtype=np.int64)
-            mask = None
-            for dim, low, high in bounds:
-                values = table.take(dim, indices)
-                dim_mask = (values >= low) & (values <= high)
-                mask = dim_mask if mask is None else (mask & dim_mask)
-            counts = np.add.reduceat(mask.astype(np.int64), offsets)
-            for i, (start, stop) in enumerate(runs):
-                if counts[i]:
-                    visitor.visit(
-                        table, start, stop, mask[offsets[i] : ends[i]]
-                    )
-            return total, int(counts.sum())
+    gathered = gather_runs(runs)
+    if gathered is not None:
+        indices, offsets = gathered
+        mask = None
+        for dim, low, high in bounds:
+            values = table.take(dim, indices)
+            dim_mask = (values >= low) & (values <= high)
+            mask = dim_mask if mask is None else (mask & dim_mask)
+        counts = np.add.reduceat(mask.astype(np.int64), offsets)
+        for (start, stop), offset, count in zip(
+            runs, offsets.tolist(), counts.tolist()
+        ):
+            if count:
+                visitor.visit(table, start, stop, mask[offset : offset + stop - start])
+        return indices.size, int(counts.sum())
     for start, stop in runs:
         run_scanned, run_matched = scan_filtered(table, bounds, start, stop, visitor)
         scanned += run_scanned

@@ -95,7 +95,7 @@ class TestLoopSafety:
         found = active("loop-safety", (SERVE, (
             "from repro.storage.kernels import warmup_kernels\n"
             "async def handler():\n"
-            "    warmup_kernels('auto')\n"
+            "    warmup_kernels()\n"
         )))
         assert len(found) == 1
         assert "warmup_kernels" in found[0].message
@@ -105,7 +105,7 @@ class TestLoopSafety:
         found = active("loop-safety", (SERVE, (
             "from repro.storage.kernels import warmup_kernels\n"
             "def prepare():\n"
-            "    warmup_kernels('auto')\n"
+            "    warmup_kernels()\n"
             "async def handler():\n"
             "    prepare()\n"
         )))
@@ -135,7 +135,7 @@ class TestLoopSafety:
         found = active("loop-safety", (SERVE, (
             "from repro.storage.kernels import warmup_kernels\n"
             "def main():\n"
-            "    warmup_kernels('auto')\n"
+            "    warmup_kernels()\n"
             "async def handler():\n"
             "    return 1\n"
         )))

@@ -218,7 +218,6 @@ class _Fleet:
             "reader_id": 0,
             "control_path": self.control_path,
             "generation": generation,
-            "kernel": "auto",
         }
         self.reader = ReaderRuntime(config, index, attachment)
         engine = BatchQueryEngine(index, workers=1)

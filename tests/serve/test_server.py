@@ -143,6 +143,10 @@ class TestServerRoundtrip:
         assert total == expected.result
         assert stats["queries_served"] == 2
         assert stats["connections_served"] == 1
+        assert set(stats["kernel"]) == {
+            "tier", "numba_available", "warmup_seconds",
+            "fused_groups", "fused_rows",
+        }
         assert average == pytest.approx(
             total / _count(index, Query({"x": (0, 600)}))
         )
