@@ -1,16 +1,18 @@
-"""Fused scan kernels: identity, backend × selectivity, numba speedup.
+"""Fused scan kernels: identity, fan-out × selectivity, numba speedup.
 
 Three measurements over a synthetic table shaped to maximize fused-kernel
 work (an unindexed filter dimension makes every run carry a residual
 check, so the kernels — not the exact-range fast path — do the scanning):
 
 1. **Identity** — on this platform's scan path (numba's fused kernels
-   when numba imports, the classic ``scan_runs`` otherwise) × every
-   backend (serial/thread/process), query results are identical to the
+   when numba imports, the classic ``scan_runs`` otherwise), serial and
+   through the sharded index's worker processes, query results are
+   identical to the
    seed's ``query_percell`` loop: byte-exact for COUNT/MIN/MAX/collect
    and all int64 aggregates, ~1e-9 relative for float SUM/AVG
    (documented accumulation-order difference).
-2. **Backend × selectivity sweep** — COUNT and SUM latency per backend,
+2. **Fan-out × selectivity sweep** — COUNT and SUM latency, serial and
+   process fan-out,
    persisted to ``results/BENCH_kernels.json`` for the perf trajectory
    (picked up by ``repro bench-diff`` automatically).
 3. **numba over classic** — when numba is importable, ``scan_runs`` with
@@ -27,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.bench.report import write_json_result
-from repro.core.backends import ProcessBackend
 from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
 from repro.core.shard import ShardedFloodIndex
@@ -75,9 +76,9 @@ def kernels_setup():
     data["f"][rng.integers(0, ROWS, size=200)] = np.nan
     table = Table(data)
     flood = FloodIndex(GridLayout(DIMS, (10, 8))).build(table)
-    backend = ProcessBackend(flood.table, workers=2)
-    yield flood, backend
-    backend.shutdown()
+    sharded = ShardedFloodIndex.wrap(flood, num_shards=4, min_parallel_points=0)
+    yield flood, sharded
+    sharded.shutdown()
 
 
 def _query(selectivity: float) -> Query:
@@ -90,15 +91,6 @@ def _query(selectivity: float) -> Query:
             "y": (25, 925),
             "w": (0, int(1_000_000 * selectivity)),
         }
-    )
-
-
-def _variants(flood, process_backend):
-    kwargs = dict(num_shards=4, min_parallel_points=0)
-    return (
-        ("serial", flood),
-        ("thread", ShardedFloodIndex.wrap(flood, backend="thread", **kwargs)),
-        ("process", ShardedFloodIndex.wrap(flood, backend=process_backend, **kwargs)),
     )
 
 
@@ -133,8 +125,8 @@ def _close(a, b, rel=1e-9) -> bool:
 
 
 def test_kernel_identity_suite(kernels_setup):
-    """Every backend × dtype against the seed's per-cell loop."""
-    flood, process_backend = kernels_setup
+    """Serial and process fan-out × dtype against the seed's per-cell loop."""
+    flood, sharded = kernels_setup
     queries = [_query(s) for s in SELECTIVITIES] + [
         Query({"x": (100, 500), "z": (200, 800)}),
         Query({"w": (999_999, 2_000_000)}),  # near-empty result
@@ -155,7 +147,7 @@ def test_kernel_identity_suite(kernels_setup):
             stats = flood.query_percell(query, visitor)
         reference.append((visitors, stats))
 
-    for label, index in _variants(flood, process_backend):
+    for label, index in (("serial", flood), ("process", sharded)):
         for query, (expected, ref_stats) in zip(queries, reference):
             for name, ref in expected.items():
                 visitor = ref.fresh()
@@ -177,19 +169,19 @@ def test_kernel_identity_suite(kernels_setup):
 
 
 def test_kernel_sweep_and_speedups(kernels_setup):
-    flood, process_backend = kernels_setup
+    flood, sharded = kernels_setup
     warmup_kernels()  # JIT compile off the timed path
     tier = resolve_kernel("auto")
 
     rows = []
-    for label, index in _variants(flood, process_backend):
+    for label, index in (("serial", flood), ("process", sharded)):
         for selectivity in SELECTIVITIES:
             query = _query(selectivity)
             index.query(query, CountVisitor())  # warm caches
             rows.append(
                 {
                     "kernel": tier,
-                    "backend": label,
+                    "fanout": label,
                     "selectivity": selectivity,
                     "count_seconds": _best_seconds(
                         lambda: index.query(query, CountVisitor())
@@ -203,7 +195,7 @@ def test_kernel_sweep_and_speedups(kernels_setup):
     print(f"\nkernel sweep ({ROWS} rows, {CORES} cores, {tier} scan path):")
     for row in rows:
         print(
-            f"  {row['backend']:>7s} @ sel={row['selectivity']:<5}: "
+            f"  {row['fanout']:>7s} @ sel={row['selectivity']:<5}: "
             f"count {row['count_seconds'] * 1e3:7.2f} ms, "
             f"sum {row['sum_seconds'] * 1e3:7.2f} ms"
         )

@@ -69,7 +69,6 @@ class LoopSafetyRule(Rule):
 
 # ----------------------------------------------------------- resource-release
 _SHM_PRODUCER_ATTRS = {"from_table", "attach"}
-_SHM_PREPARE_ATTRS = {"prepare_merge", "prepare_relayout"}
 _SHM_PRODUCER_NAMES = {"ProcessBackend", "WriteAheadLog"}
 _SHM_CLEANUP_ATTRS = {"close", "unlink", "shutdown"}
 
@@ -80,17 +79,17 @@ def _producer_label(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name) and func.id in _SHM_PRODUCER_NAMES:
         return f"{func.id}(...)"
     if isinstance(func, ast.Attribute):
-        if func.attr in _SHM_PRODUCER_ATTRS | _SHM_PREPARE_ATTRS:
+        if func.attr in _SHM_PRODUCER_ATTRS:
             qualifier = dotted(func.value)
             return f"{qualifier}.{func.attr}" if qualifier else func.attr
         if func.attr == "run_in_executor":
-            # The deferred form: run_in_executor(None, index.prepare_merge)
-            # or run_in_executor(None, lambda: index.prepare_relayout(...)).
+            # The deferred form: run_in_executor(None, shm.attach) or
+            # run_in_executor(None, lambda: SharedMemoryTable.from_table(t)).
             # The executor runs the producer; the awaited result owns it.
             for arg in node.args[1:]:
                 if (
                     isinstance(arg, ast.Attribute)
-                    and arg.attr in _SHM_PREPARE_ATTRS | _SHM_PRODUCER_ATTRS
+                    and arg.attr in _SHM_PRODUCER_ATTRS
                 ):
                     return f"run_in_executor({arg.attr})"
                 if isinstance(arg, ast.Lambda):
@@ -98,8 +97,7 @@ def _producer_label(node: ast.Call) -> str | None:
                         if (
                             isinstance(sub, ast.Call)
                             and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr
-                            in _SHM_PREPARE_ATTRS | _SHM_PRODUCER_ATTRS
+                            and sub.func.attr in _SHM_PRODUCER_ATTRS
                         ):
                             return f"run_in_executor({sub.func.attr})"
     return None
@@ -229,16 +227,16 @@ class _ReleaseAnalysis(Analysis):
 
 @register
 class ResourceReleaseRule(Rule):
-    """Every acquired resource — shm table, scan pool, prepared index,
-    WAL — must be released or handed off on *every* CFG path out of the
-    acquiring function, exception edges included."""
+    """Every acquired resource — shm table, process pool, WAL — must be
+    released or handed off on *every* CFG path out of the acquiring
+    function, exception edges included."""
 
     name = "resource-release"
     description = (
         "resource acquisitions (SharedMemoryTable.from_table/.attach, "
-        "ProcessBackend(...), prepare_merge/prepare_relayout, "
-        "WriteAheadLog(...)) must reach a close/unlink/shutdown or an "
-        "explicit ownership hand-off on every path, exception edges "
+        "ProcessBackend(...), WriteAheadLog(...)) must reach a "
+        "close/unlink/shutdown or an explicit ownership hand-off on every "
+        "path, exception edges "
         "included — POSIX segments and fds outlive the process otherwise"
     )
     fix_hint = (
@@ -478,7 +476,7 @@ class VisitorProtocolRule(Rule):
                 yield self.finding(
                     source, node,
                     f"{node.name} has {present} but not {missing}: "
-                    "is_mergeable stays False and backends silently fall "
+                    "is_mergeable stays False and sharded scans silently fall "
                     "back to recording/replay",
                     fix_hint=f"implement {missing} (or drop {present})",
                 )

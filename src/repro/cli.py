@@ -16,12 +16,11 @@ Commands
 ``throughput``
     Serve a generated workload through the batch query engine (throughput
     mode) and report queries/second, optionally against the seed's
-    per-cell reference loop; ``--backend thread|process`` shards the
-    table and picks where shard scans run.
+    per-cell reference loop.
 ``serve``
     Build an index over a generated dataset and serve it to concurrent
     clients over TCP (JSON lines), with micro-batching, optional table
-    sharding (``--shards`` / ``--backend``), result caching
+    sharding (``--shards``, scanned on worker processes), result caching
     (``--cache-entries`` / ``--cache-ttl``), admission control
     (``--max-queue-depth``), and per-connection fairness
     (``--max-client-depth``); pair with :mod:`repro.serve.client`.
@@ -126,14 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also time the seed's per-cell loop and verify identical results",
     )
-    throughput.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process"],
-        default="serial",
-        help="intra-query scan backend: serial (default, unsharded), or "
-        "shard the table one shard per core and scan on the thread pool "
-        "or on a zero-copy worker-process pool (CPU-bound visitors)",
-    )
     throughput.add_argument("--seed", type=int, default=7)
 
     serve = sub.add_parser(
@@ -151,17 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards",
         type=int,
-        default=0,
-        help="table shards for intra-query parallelism (0 = one per core, "
-        "1 = unsharded)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process"],
-        default="thread",
-        help="scan backend for the sharded index (ignored with --shards 1): "
-        "thread (default) scans shards on the process-wide thread pool, "
-        "process on a zero-copy worker-process pool, serial inline",
+        default=1,
+        help="table shards for intra-query parallelism: large queries scan "
+        "them on a zero-copy worker-process pool (1 = unsharded, the "
+        "default; 0 = one per core; needs --index flood)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=64, help="micro-batch size bound"
@@ -420,51 +404,37 @@ def _cmd_throughput(args) -> int:
         layout = layout.scaled(args.grid_scale)
         flood = FloodIndex(layout).build(bundle.table)
     print(f"Layout: {layout.describe()} ({layout.num_cells} cells)")
-    scan_backend = None
-    if args.backend != "serial":
-        from repro.core.shard import ShardedFloodIndex
-
-        flood = ShardedFloodIndex.wrap(flood, backend=args.backend)
-        scan_backend = flood.scan_backend  # resolve now: fail before timing
-        print(
-            f"Scan backend: {args.backend} "
-            f"({flood.effective_shards} storage shards)"
-        )
     print(f"Scan kernels: {resolve_kernel('auto')} tier")
     engine = BatchQueryEngine(flood, workers=args.workers)
-    try:
-        engine.run(queries[: min(20, len(queries))])  # warmup
-        best = None
-        for _ in range(max(args.repeats, 1)):
-            batch = engine.run(queries)
-            if best is None or batch.wall_seconds < best.wall_seconds:
-                best = batch
+    engine.run(queries[: min(20, len(queries))])  # warmup
+    best = None
+    for _ in range(max(args.repeats, 1)):
+        batch = engine.run(queries)
+        if best is None or batch.wall_seconds < best.wall_seconds:
+            best = batch
+    print(
+        f"  engine ({args.workers} worker{'s' if args.workers != 1 else ''}): "
+        f"{best.queries_per_second:10.1f} queries/s "
+        f"({best.wall_seconds / len(queries) * 1e3:.3f} ms/query)"
+    )
+    if args.compare_legacy:
+        legacy_counts = []
+        start = time.perf_counter()
+        for query in queries:
+            visitor = CountVisitor()
+            flood.query_percell(query, visitor)
+            legacy_counts.append(visitor.result)
+        legacy_seconds = time.perf_counter() - start
         print(
-            f"  engine ({args.workers} worker{'s' if args.workers != 1 else ''}): "
-            f"{best.queries_per_second:10.1f} queries/s "
-            f"({best.wall_seconds / len(queries) * 1e3:.3f} ms/query)"
+            f"  per-cell loop:  {len(queries) / legacy_seconds:10.1f} queries/s "
+            f"({legacy_seconds / len(queries) * 1e3:.3f} ms/query)"
         )
-        if args.compare_legacy:
-            legacy_counts = []
-            start = time.perf_counter()
-            for query in queries:
-                visitor = CountVisitor()
-                flood.query_percell(query, visitor)
-                legacy_counts.append(visitor.result)
-            legacy_seconds = time.perf_counter() - start
-            print(
-                f"  per-cell loop:  {len(queries) / legacy_seconds:10.1f} queries/s "
-                f"({legacy_seconds / len(queries) * 1e3:.3f} ms/query)"
-            )
-            print(f"  speedup: {legacy_seconds / best.wall_seconds:.2f}x")
-            if legacy_counts != best.results:
-                print("  MISMATCH: engine and per-cell results differ!")
-                return 1
-            print(f"  results identical across {len(queries)} queries")
-        return 0
-    finally:
-        if scan_backend is not None:
-            scan_backend.shutdown()  # process backend: pool + shared memory
+        print(f"  speedup: {legacy_seconds / best.wall_seconds:.2f}x")
+        if legacy_counts != best.results:
+            print("  MISMATCH: engine and per-cell results differ!")
+            return 1
+        print(f"  results identical across {len(queries)} queries")
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -480,6 +450,9 @@ def _cmd_serve(args) -> int:
 
     if args.shards < 0:
         print("serve needs --shards >= 0 (0 = one per core)", file=sys.stderr)
+        return 2
+    if args.shards != 1 and args.index == "delta":
+        print("--shards needs --index flood (delta serves unsharded)", file=sys.stderr)
         return 2
     if args.cache_entries < 0:
         print("serve needs --cache-entries >= 0 (0 disables)", file=sys.stderr)
@@ -545,23 +518,17 @@ def _cmd_serve(args) -> int:
         layout = opt.layout
         if args.grid_scale != 1.0:
             layout = layout.scaled(args.grid_scale)
-    scan_backend = None
     if args.index == "delta":
         from repro.core.delta import DeltaBufferedFlood
 
         # The controller owns the merge threshold (merges must run
         # off-loop), so the index's own blocking auto-merge stays off.
-        delta_kwargs = dict(
-            merge_threshold=None,
-            num_shards=None if args.shards == 1 else args.shards,
-            backend=None if args.shards == 1 else args.backend,
-        )
         if recovering:
             flood = DurableDeltaFlood.open(
                 args.data_dir,
                 fsync=args.fsync,
+                merge_threshold=None,
                 group_commit=args.group_commit,
-                **delta_kwargs,
             )
             layout = flood.layout
             print(
@@ -583,22 +550,15 @@ def _cmd_serve(args) -> int:
                 layout,
                 args.data_dir,
                 fsync=args.fsync,
+                merge_threshold=None,
                 group_commit=args.group_commit,
-                **delta_kwargs,
             ).build(bundle.table)
             print(f"Durable data dir: {args.data_dir} (fsync {args.fsync})")
         else:
-            flood = DeltaBufferedFlood(layout, **delta_kwargs).build(
+            flood = DeltaBufferedFlood(layout, merge_threshold=None).build(
                 bundle.table
             )
-        inner = flood.index
-        if args.shards != 1:
-            print(
-                f"Mutable delta index, sharded into {inner.effective_shards} "
-                f"storage shards ({args.backend} scan backend)"
-            )
-        else:
-            print("Mutable delta index (unsharded)")
+        print("Mutable delta index (unsharded)")
         if args.merge_threshold:
             print(f"Off-loop merge at {args.merge_threshold} buffered rows")
         if args.adaptive:
@@ -606,15 +566,10 @@ def _cmd_serve(args) -> int:
     else:
         flood = FloodIndex(layout).build(bundle.table)
         if args.shards != 1:
-            flood = ShardedFloodIndex.wrap(
-                flood,
-                num_shards=args.shards if args.shards else None,
-                backend=args.backend,
-            )
-            scan_backend = flood.scan_backend  # resolve now: fail before binding
+            flood = ShardedFloodIndex.wrap(flood, num_shards=args.shards or None)
             print(
                 f"Sharded into {flood.effective_shards} storage shards "
-                f"({args.backend} scan backend)"
+                "(large queries scan them on worker processes)"
             )
     print(f"Layout: {layout.describe()} ({layout.num_cells} cells)")
     if args.group_commit:
@@ -677,7 +632,7 @@ def _cmd_serve(args) -> int:
 
         host, port = await server.start()
         # SIGTERM/SIGINT request a graceful shutdown so the final
-        # checkpoint and backend/shm retirement in the finally blocks
+        # checkpoint and worker/shm release in the finally blocks
         # actually run when the process is killed (not just on EOF).
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -700,10 +655,8 @@ def _cmd_serve(args) -> int:
     finally:
         if pool is not None:
             pool.shutdown()
-        if scan_backend is not None:
-            scan_backend.shutdown()  # process backend: pool + shared memory
         if hasattr(flood, "shutdown"):
-            flood.shutdown()  # delta: retire the current inner backend
+            flood.shutdown()  # sharded: workers + shm; durable: checkpoint + WAL
     return 0
 
 

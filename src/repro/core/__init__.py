@@ -11,11 +11,8 @@
 - :mod:`repro.core.engine` -- throughput-mode batch execution of query
   workloads (vectorized plans, worker pool).
 - :mod:`repro.core.shard` -- intra-query parallelism: the clustered table
-  split into storage-contiguous shards so one query's scan fans out
-  across cores.
-- :mod:`repro.core.backends` -- pluggable scan backends executing those
-  shard scans: serial, thread pool, or a zero-copy process pool for
-  CPU-bound visitors.
+  split into storage-contiguous shards so one large query's scan fans
+  out across a zero-copy pool of worker processes.
 - :mod:`repro.core.cost` -- the cost model Time = wp*Nc + wr*Nc + ws*Ns with
   learned weights (Section 4.1).
 - :mod:`repro.core.calibration` -- weight-model training from random
@@ -31,13 +28,6 @@ snapshots + warm restart), and :mod:`repro.core.monitor` (workload-shift
 detection + auto-retraining).
 """
 
-from repro.core.backends import (
-    ProcessBackend,
-    ScanBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-)
 from repro.core.calibration import calibrate, generate_training_examples
 from repro.core.cost import AnalyticCostModel, CostModel, LearnedCostModel, QueryFeatures
 from repro.core.delta import DeltaBufferedFlood
@@ -55,7 +45,7 @@ from repro.core.protocol import (
     require_queryable,
     supports_insert,
 )
-from repro.core.shard import ShardedFloodIndex
+from repro.core.shard import ProcessBackend, ShardedFloodIndex
 
 __all__ = [
     "ShardedFloodIndex",
@@ -63,11 +53,7 @@ __all__ = [
     "MutableIndex",
     "require_queryable",
     "supports_insert",
-    "ScanBackend",
-    "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "resolve_backend",
     "DeltaBufferedFlood",
     "DurableDeltaFlood",
     "KNNSearcher",

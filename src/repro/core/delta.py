@@ -14,10 +14,7 @@ implements the delta-index variant:
 The class satisfies the queryable-index protocol
 (:mod:`repro.core.protocol`), so it can sit directly behind
 :class:`~repro.core.engine.BatchQueryEngine`, the micro-batcher, and the
-TCP server — including the sharded+buffered combination (pass
-``num_shards`` / ``backend`` and the inner index is a
-:class:`~repro.core.shard.ShardedFloodIndex` whose scans fan out across
-cores while the buffer keeps absorbing writes).
+TCP server.
 
 For a *serving* event loop, the blocking :meth:`merge` is split in two:
 :meth:`prepare_merge` builds the new clustered table + index from a
@@ -37,12 +34,17 @@ result cached before an insert can never be served after it — the key
 simply no longer matches, and the stale entry ages out of the LRU.
 
 Buffer columns adopt the table's per-column dtype: a float-valued table
-buffers floats (``insert`` used to force ``int(v)``, silently truncating
-float dimensions — the same bug class PR 4 fixed in the visitors).
+buffers floats, an int column truncates in-range fractional values.
+:meth:`DeltaBufferedFlood.coerce_rows` validates a whole row or batch
+before anything changes — non-numeric, non-finite, or out-of-range
+values raise :class:`~repro.errors.SchemaError` with the buffer (and, in
+the durable wrapper, the WAL) untouched.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -76,6 +78,58 @@ class PreparedMerge:
     layout: GridLayout | None = None
 
 
+@functools.lru_cache(maxsize=None)
+def _limits(dtype: np.dtype) -> tuple:
+    """The dtype's representable range as Python numbers."""
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return info.min, info.max
+    info = np.finfo(dtype)
+    return float(info.min), float(info.max)
+
+
+def _check_range(dim: str, lo, hi, dtype: np.dtype) -> None:
+    """Raise :class:`SchemaError` unless ``[lo, hi]`` is finite and fits
+    ``dtype``. Python compares int with float exactly, so 2.0**63 is out
+    of int64."""
+    if isinstance(lo, float) and not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SchemaError(f"column {dim!r} got a non-finite value")
+    low, high = _limits(dtype)
+    if lo < low or hi > high:
+        raise SchemaError(f"column {dim!r} got a value outside {dtype}")
+
+
+def _coerce_scalar(dim: str, value, dtype: np.dtype) -> np.ndarray:
+    """One checked value as a length-1 ``dtype`` array."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not isinstance(value, (int, float)):
+        raise SchemaError(f"column {dim!r} needs a number, got {value!r}")
+    _check_range(dim, value, value, dtype)
+    return np.array([value], dtype=dtype)
+
+
+def _coerce_column(dim: str, raw, dtype: np.dtype) -> np.ndarray:
+    """A checked flat batch column as a ``dtype`` array."""
+    try:
+        values = np.asarray(raw)
+    except ValueError as exc:  # ragged nested lists
+        raise SchemaError(f"column {dim!r}: {exc}") from None
+    if values.ndim > 1:
+        raise SchemaError(f"column {dim!r} needs a flat array, got {raw!r}")
+    values = values.reshape(-1)
+    if values.dtype.kind not in "biuf":
+        # Strings, None, and Python ints past uint64 (numpy keeps those
+        # as objects) all land here.
+        raise SchemaError(
+            f"column {dim!r} takes numbers within 64 bits, got {values.dtype}"
+        )
+    if values.size:
+        # min/max propagate NaN into the finiteness check.
+        _check_range(dim, values.min().item(), values.max().item(), dtype)
+    return values.astype(dtype)
+
+
 class DeltaBufferedFlood:
     """A Flood index that accepts inserts through a delta buffer.
 
@@ -87,18 +141,6 @@ class DeltaBufferedFlood:
         Automatic merge once the buffer holds this many rows (``None``
         disables auto-merge; the serving layer disables it and runs
         merges off-loop itself).
-    num_shards:
-        ``None`` (default) builds a plain :class:`FloodIndex` inside;
-        ``0`` shards one per core, ``>= 1`` that many shards
-        (:class:`~repro.core.shard.ShardedFloodIndex` semantics).
-    backend:
-        Scan-backend *spec string* (``'serial'`` / ``'thread'`` /
-        ``'process'``) for the sharded inner index. Specs only — a
-        resolved backend instance is bound to one table, and every merge
-        builds a new table (the spec re-resolves per rebuild, refreshing
-        e.g. the process backend's shared-memory attachment).
-    min_parallel_points:
-        Passed to the sharded inner index (``None`` = its default).
     flood_kwargs:
         Passed through to :class:`FloodIndex` (flatten, refinement, delta).
     """
@@ -109,21 +151,10 @@ class DeltaBufferedFlood:
         self,
         layout: GridLayout,
         merge_threshold: int | None = 4096,
-        num_shards: int | None = None,
-        backend: str | None = None,
-        min_parallel_points: int | None = None,
         **flood_kwargs,
     ):
-        if backend is not None and not isinstance(backend, str):
-            raise BuildError(
-                "DeltaBufferedFlood needs a backend *spec string*; resolved "
-                "backends bind to one table and merges rebuild the table"
-            )
         self.layout = layout
         self.merge_threshold = merge_threshold
-        self._num_shards = num_shards
-        self._backend_spec = backend
-        self._min_parallel_points = min_parallel_points
         self._flood_kwargs = flood_kwargs
         self._index: FloodIndex | None = None
         self._dims: list[str] = []
@@ -138,27 +169,8 @@ class DeltaBufferedFlood:
         self.generation = 0
 
     # ------------------------------------------------------------------ build
-    def _make_index(self, layout: GridLayout | None = None) -> FloodIndex:
-        """A fresh (unbuilt) inner index per the sharding configuration."""
-        layout = layout if layout is not None else self.layout
-        if self._num_shards is None:
-            return FloodIndex(layout, **self._flood_kwargs)
-        from repro.core.shard import MIN_PARALLEL_POINTS, ShardedFloodIndex
-
-        return ShardedFloodIndex(
-            layout,
-            num_shards=self._num_shards or None,
-            min_parallel_points=(
-                MIN_PARALLEL_POINTS
-                if self._min_parallel_points is None
-                else self._min_parallel_points
-            ),
-            backend=self._backend_spec,
-            **self._flood_kwargs,
-        )
-
     def build(self, table: Table) -> "DeltaBufferedFlood":
-        self._index = self._make_index().build(table)
+        self._index = FloodIndex(self.layout, **self._flood_kwargs).build(table)
         self._dims = table.dims
         # Per-column dtype adopted from the table (values(dim, 0, 0) is an
         # empty decode, so this costs nothing even on compressed columns).
@@ -186,34 +198,35 @@ class DeltaBufferedFlood:
         return len(next(iter(self._buffer.values()))) if self._buffer else 0
 
     # ----------------------------------------------------------------- insert
-    def insert(self, row: dict) -> None:
-        """Buffer one row (mapping of every dimension to a value)."""
-        if set(row) != set(self._dims):
+    def coerce_rows(self, rows: dict, batch: bool) -> dict[str, np.ndarray]:
+        """Validate one row (``batch=False``: a scalar per dimension) or a
+        column batch (equal-length arrays) and return it as column arrays
+        in the table's dtypes; raises :class:`SchemaError` on any bad
+        value, so callers check everything before changing anything."""
+        if set(rows) != set(self._dims):
             raise SchemaError(
-                f"row dims {sorted(row)} do not match table dims {sorted(self._dims)}"
+                f"row dims {sorted(rows)} do not match table dims {sorted(self._dims)}"
             )
-        for dim, value in row.items():
-            # dtype.type coerces to the column's dtype — int columns get
-            # exact int64s, float columns keep their fractional part.
-            self._buffer[dim].append(self._dtypes[dim].type(value))
+        coerce = _coerce_column if batch else _coerce_scalar
+        cols = {dim: coerce(dim, rows[dim], self._dtypes[dim]) for dim in self._dims}
+        if len({len(values) for values in cols.values()}) > 1:
+            raise SchemaError("batch columns disagree on length")
+        return cols
+
+    def append_coerced(self, cols: dict[str, np.ndarray]) -> None:
+        """Buffer columns already checked by :meth:`coerce_rows`."""
+        for dim, values in cols.items():
+            self._buffer[dim].extend(values)
         self.generation += 1
         self._maybe_auto_merge()
 
+    def insert(self, row: dict) -> None:
+        """Buffer one row (mapping of every dimension to a value)."""
+        self.append_coerced(self.coerce_rows(row, batch=False))
+
     def insert_many(self, rows: dict) -> None:
         """Buffer a column-oriented batch (dim -> array of values)."""
-        if set(rows) != set(self._dims):
-            raise SchemaError(
-                f"batch dims {sorted(rows)} do not match table dims {sorted(self._dims)}"
-            )
-        lengths = {len(np.atleast_1d(v)) for v in rows.values()}
-        if len(lengths) != 1:
-            raise SchemaError("batch columns disagree on length")
-        for dim, values in rows.items():
-            self._buffer[dim].extend(
-                np.atleast_1d(np.asarray(values)).astype(self._dtypes[dim]).tolist()
-            )
-        self.generation += 1
-        self._maybe_auto_merge()
+        self.append_coerced(self.coerce_rows(rows, batch=True))
 
     def _maybe_auto_merge(self) -> None:
         if (
@@ -254,7 +267,7 @@ class DeltaBufferedFlood:
             dim: np.concatenate([self.table.values(dim), buffered[dim]])
             for dim in self._dims
         }
-        index = self._make_index().build(
+        index = FloodIndex(self.layout, **self._flood_kwargs).build(
             Table(combined, compress=self.table.compressed)
         )
         return PreparedMerge(
@@ -263,7 +276,7 @@ class DeltaBufferedFlood:
 
     def commit_merge(self, prepared: PreparedMerge | None) -> FloodIndex | None:
         """Atomically swap a prepared index in; returns the *old* inner
-        index (so the caller can retire its scan backend off-loop).
+        index.
 
         Must be serialized against query execution (the serving layer
         runs it through the batcher's write barrier); the swap itself is
@@ -322,7 +335,7 @@ class DeltaBufferedFlood:
         }
         table = Table(combined, compress=self.table.compressed)
         result = find_optimal_layout(table, list(queries), cost_model, seed=seed)
-        index = self._make_index(layout=result.layout).build(table)
+        index = FloodIndex(result.layout, **self._flood_kwargs).build(table)
         return PreparedMerge(
             index=index,
             rows_merged=n,
@@ -374,15 +387,3 @@ class DeltaBufferedFlood:
             self._dtypes[dim].itemsize * self.buffered_rows for dim in self._dims
         )
         return self._index.size_bytes() + buffered
-
-    def shutdown(self) -> None:
-        """Retire the inner index's *resolved* scan backend, if any.
-
-        Only meaningful for the sharded+buffered combination with a
-        process backend (worker pool + shared-memory segments); a no-op
-        everywhere else. The serving layer retires superseded backends
-        after each merge swap; this handles the final one at exit.
-        """
-        backend = getattr(self._index, "_backend", None)
-        if backend is not None:
-            backend.shutdown()

@@ -1,17 +1,21 @@
 """Durable mutable serving: WAL + snapshots around the delta buffer.
 
 :class:`DurableDeltaFlood` wraps a
-:class:`~repro.core.delta.DeltaBufferedFlood` (plain or sharded) and
+:class:`~repro.core.delta.DeltaBufferedFlood` and
 implements the PR-5 :class:`~repro.core.protocol.MutableIndex` protocol,
 so the whole engine/batcher/server stack serves it unchanged — but every
 acknowledged insert now survives a crash:
 
-- **Log before ack.** :meth:`insert` / :meth:`insert_many` append a
-  framed record to the :class:`~repro.storage.wal.WriteAheadLog`
-  *before* touching the in-memory buffer; the method only returns (and
-  the wire ack only goes out) once the record is at least in the kernel
-  (``fsync`` policy ``batch``/``never``) or on stable storage
-  (``always``). A WAL failure raises a structured
+- **Log before ack.** :meth:`insert` / :meth:`insert_many` validate
+  and coerce the row or batch
+  (:meth:`~repro.core.delta.DeltaBufferedFlood.coerce_rows`), then
+  append exactly those column arrays as a framed record to the
+  :class:`~repro.storage.wal.WriteAheadLog` *before* buffering them.
+  The method only returns (and the wire ack only goes out) once the
+  record is at least in the kernel (``fsync`` policy ``batch``/``never``)
+  or on stable storage (``always``). A rejected value raises
+  :class:`~repro.errors.SchemaError` with neither the log nor the buffer
+  touched; a WAL failure raises a structured
   :class:`~repro.errors.DurabilityError` and leaves the buffer
   untouched — the client is never acked for a row the log may not hold.
 - **Checkpoint after merge.** :meth:`commit_merge` swaps the prepared
@@ -60,11 +64,9 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from repro.core.delta import DeltaBufferedFlood, PreparedMerge
 from repro.core.layout import GridLayout
-from repro.errors import DurabilityError, SchemaError
+from repro.errors import DurabilityError
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.snapshot import (
@@ -113,8 +115,8 @@ class DurableDeltaFlood:
         The :class:`~repro.storage.wal.StorageIO` seam; the fault-
         injection tests substitute a failing implementation.
     delta_kwargs:
-        Passed through to :class:`~repro.core.delta.DeltaBufferedFlood`
-        (``num_shards``, ``backend``, flood kwargs, ...).
+        Flood kwargs passed through to
+        :class:`~repro.core.delta.DeltaBufferedFlood`.
     """
 
     name = "Flood-delta-durable"
@@ -340,47 +342,28 @@ class DurableDeltaFlood:
         wal.append(kind, cols, row_start)
         return None
 
-    def _coerce(self, rows: dict, batch: bool) -> dict:
-        """Validate dims and coerce values to the table's column dtypes
-        (the same coercion the buffer applies, so the logged bytes equal
-        what a replay will re-insert)."""
-        inner = self._delta
-        if not inner._dims:
-            raise DurabilityError(f"{self.name} used before build()/open()")
-        if set(rows) != set(inner._dims):
-            raise SchemaError(
-                f"row dims {sorted(rows)} do not match table dims "
-                f"{sorted(inner._dims)}"
-            )
-        out = {}
-        for dim in inner._dims:
-            values = np.atleast_1d(np.asarray(rows[dim]))
-            out[dim] = values.astype(inner._dtypes[dim])
-        if batch and len({len(v) for v in out.values()}) != 1:
-            raise SchemaError("batch columns disagree on length")
-        return out
-
     def insert(self, row: dict):
         """WAL-log one row, then buffer it. Inline mode raises
         :class:`~repro.errors.DurabilityError` (row NOT applied, NOT to
         be acked) if the log write fails and returns ``None`` once the
         row is durable per policy; group-commit mode returns the
         durability ticket — the caller must await it before acking."""
-        cols = self._coerce(row, batch=False)
+        self._require_wal()
+        cols = self._delta.coerce_rows(row, batch=False)
         ticket = self._log(KIND_INSERT, cols, self._rows_logged)
         self._rows_logged += 1
-        self._delta.insert(row)
+        self._delta.append_coerced(cols)
         self._maybe_auto_merge()
         return ticket
 
     def insert_many(self, rows: dict):
         """WAL-log a column-oriented batch, then buffer it; same return
         contract as :meth:`insert`."""
-        cols = self._coerce(rows, batch=True)
-        nrows = len(next(iter(cols.values())))
+        self._require_wal()
+        cols = self._delta.coerce_rows(rows, batch=True)
         ticket = self._log(KIND_INSERT_MANY, cols, self._rows_logged)
-        self._rows_logged += nrows
-        self._delta.insert_many(rows)
+        self._rows_logged += len(next(iter(cols.values())))
+        self._delta.append_coerced(cols)
         self._maybe_auto_merge()
         return ticket
 
@@ -403,8 +386,8 @@ class DurableDeltaFlood:
 
     def commit_merge(self, prepared: PreparedMerge | None):
         """Swap the prepared index in, rotate the WAL, and capture the
-        checkpoint state; returns the old inner index (for backend
-        retirement), exactly like the plain delta index.
+        checkpoint state; returns the old inner index, exactly like the
+        plain delta index.
 
         Kept cheap deliberately: this runs through the serving write
         barrier (on the event loop). The heavy half — snapshot write +
@@ -500,11 +483,10 @@ class DurableDeltaFlood:
             self._wal.close()
 
     def shutdown(self) -> None:
-        """Best-effort final checkpoint, then retire WAL + scan backend."""
+        """Best-effort final checkpoint, then close the WAL."""
         try:
             self.checkpoint()
         except DurabilityError:
             pass  # recovery still replays the WAL; nothing is lost
         if self._wal is not None:
             self._wal.close()
-        self._delta.shutdown()

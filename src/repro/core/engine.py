@@ -81,11 +81,10 @@ class BatchQueryEngine:
         (:mod:`repro.core.protocol`): a plain :class:`FloodIndex` (any
         ``flatten`` / ``refinement`` variant),
         :class:`~repro.core.shard.ShardedFloodIndex` — engine workers
-        then parallelize across queries while each query's scan fans
-        out across the shard pool (the pools are distinct and both
-        bounded, so the combination cannot deadlock or oversubscribe
-        unboundedly) — or a mutable
-        :class:`~repro.core.delta.DeltaBufferedFlood`.
+        then parallelize across queries while each large query's scan
+        fans out across the index's worker processes (both pools are
+        bounded, so the combination cannot oversubscribe unboundedly) —
+        or a mutable :class:`~repro.core.delta.DeltaBufferedFlood`.
     workers:
         Worker threads for query-level parallelism. 1 (default) runs the
         batch on the calling thread.
@@ -94,15 +93,6 @@ class BatchQueryEngine:
         worker jobs on (the serving layer shares one pool across batches).
         When given, ``workers`` only controls job chunking and the engine
         never shuts the pool down.
-    backend:
-        Optional scan-backend spec (``'serial'`` / ``'thread'`` /
-        ``'process'`` or a :class:`~repro.core.backends.ScanBackend`)
-        applied to the index's *intra-query* scans. Requires a
-        :class:`~repro.core.shard.ShardedFloodIndex`; plain indexes have
-        no shard fan-out to re-target. ``None`` (default) leaves the
-        index's own backend untouched. With the process backend, engine
-        worker threads submit to one bounded process pool, so the
-        combination cannot oversubscribe unboundedly.
     """
 
     def __init__(
@@ -110,18 +100,10 @@ class BatchQueryEngine:
         index,
         workers: int = 1,
         executor=None,
-        backend=None,
     ):
         # Anything satisfying the queryable-index protocol serves: plain,
         # sharded, or delta-buffered (raises BuildError when not built).
         require_queryable(index)
-        if backend is not None:
-            if not hasattr(index, "use_backend"):
-                raise QueryError(
-                    "backend= needs a ShardedFloodIndex; wrap the index first "
-                    "(ShardedFloodIndex.wrap)"
-                )
-            index.use_backend(backend)
         self.index = index
         self.workers = max(1, int(workers))
         self.executor = executor

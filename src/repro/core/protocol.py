@@ -21,8 +21,7 @@ anything satisfying :class:`QueryableIndex`:
 
 Known implementations: :class:`FloodIndex`,
 :class:`~repro.core.shard.ShardedFloodIndex`, and
-:class:`~repro.core.delta.DeltaBufferedFlood` (plain or wrapping a
-sharded index — the sharded+buffered combination).
+:class:`~repro.core.delta.DeltaBufferedFlood`.
 
 :class:`MutableIndex` extends the protocol with the write surface
 (``insert`` / ``insert_many`` / ``merge`` plus the buffered-row and

@@ -4,52 +4,50 @@
 parallelizes *within* one. A :class:`ShardedFloodIndex` partitions the
 clustered table into K storage-contiguous shards along the cell order —
 each shard owns a contiguous run of ``cell_starts``, so shard boundaries
-never cut a cell — and fans a single query's scan runs out across a
-process-wide worker pool. Projection and refinement stay single-threaded
-(they are a few vectorized passes, microseconds at any plan size); the
-scan, which dominates large queries (paper Table 2), is what shards.
+never cut a cell — and fans a large query's scan runs out across a pool
+of worker processes (:class:`ProcessBackend`). Projection and refinement
+stay single-threaded (they are a few vectorized passes, microseconds at
+any plan size); the scan, which dominates large queries (paper Table 2),
+is what shards.
 
-*Where* the per-shard pieces execute is pluggable
-(:mod:`repro.core.backends`): the default :class:`ThreadBackend` uses the
-process-wide thread pool below (numpy kernels release the GIL), while
-:class:`ProcessBackend` runs shards on worker processes attached
-zero-copy to the table's shared-memory segments — real cores even for
-CPU-bound, GIL-holding visitor work. Mergeable visitors
-(``fresh``/``merge``) ship compact partial aggregates back and merge in
-shard order; any other visitor falls back to
+The workers attach zero-copy to the table's shared-memory segments
+(:mod:`repro.storage.shm`), so CPU-bound, GIL-holding visitor work runs
+on real cores. Result shipping uses the **mergeable-visitor protocol**
+(:func:`repro.storage.visitor.is_mergeable`): when the caller's visitor
+implements ``fresh()``/``merge()``, every worker scans into its own fresh
+visitor and the partials merge in shard order — a few counters cross the
+process boundary instead of mask arrays. Any other visitor falls back to
 :class:`~repro.storage.visitor.RecordingVisitor` record-and-replay. The
 merge (or replay) runs on the calling thread in shard order either way,
 so results are deterministic regardless of worker scheduling.
 
 Results are bit-identical to :meth:`FloodIndex.query` and the seed's
-:meth:`FloodIndex.query_percell` under every backend: splitting a
-coalesced run at a shard boundary changes neither the rows scanned nor
-the masks computed.
+:meth:`FloodIndex.query_percell`: splitting a coalesced run at a shard
+boundary changes neither the rows scanned nor the masks computed.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from repro.core.backends import ScanBackend, SerialBackend, resolve_backend
 from repro.core.index import FloodIndex, QueryPlan
-from repro.errors import BuildError
+from repro.errors import BuildError, QueryError
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
-from repro.storage.scan import split_runs
+from repro.storage.kernels import get_kernel
+from repro.storage.scan import scan_runs, split_runs
+from repro.storage.shm import SharedMemoryTable, ShmTableHandle
 from repro.storage.table import Table
-from repro.storage.visitor import Visitor
+from repro.storage.visitor import RecordingVisitor, Visitor, is_mergeable
 
 #: Below this many planned points a query is scanned serially: pool
 #: dispatch costs more than it buys on small scans (identical results
 #: either way; this only picks the execution strategy).
 MIN_PARALLEL_POINTS = 1 << 15
-
-_POOL: ThreadPoolExecutor | None = None
 
 
 def default_num_shards() -> int:
@@ -57,39 +55,169 @@ def default_num_shards() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def get_scan_pool() -> ThreadPoolExecutor:
-    """The process-wide shard-scan pool, created lazily (one per core).
+def _group_runs_by_code(
+    runs: list[tuple[int, int, int]]
+) -> dict[int, list[tuple[int, int]]]:
+    """Group ``(start, stop, code)`` runs by residual-check code.
 
-    Shared by every :class:`ShardedFloodIndex` in the process so concurrent
-    queries (e.g. engine workers over a sharded index) compete for one
-    bounded pool instead of oversubscribing the machine.
+    Exactly the grouping :meth:`FloodIndex.execute_plan` performs (dict
+    insertion order = first-appearance order), factored out so worker
+    processes — which have the runs and the resolved bounds but no
+    ``QueryPlan`` — scan in the identical order.
     """
-    global _POOL
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(
-            max_workers=default_num_shards(), thread_name_prefix="repro-shard"
+    by_code: dict[int, list[tuple[int, int]]] = {}
+    for start, stop, code in runs:
+        by_code.setdefault(code, []).append((start, stop))
+    return by_code
+
+
+# ---------------------------------------------------------------- processes
+#: Per-worker attached table, set once by the pool initializer. Module
+#: global (not an arg) so the table never rides along with task payloads.
+_WORKER_TABLE: SharedMemoryTable | None = None
+
+
+def _worker_attach(handle: ShmTableHandle) -> None:
+    """Process-pool initializer: map the shared table once per worker."""
+    global _WORKER_TABLE
+    _WORKER_TABLE = SharedMemoryTable.attach(handle)
+
+
+def _worker_scan(task):
+    """One shard's scan inside a worker process.
+
+    ``task`` is ``(runs, bounds_by_code, prototype)`` where ``prototype``
+    is a fresh mergeable visitor (unpickled here into this task's private
+    accumulator) or ``None`` for the recording fallback. Runs are grouped
+    by code exactly as :meth:`FloodIndex.execute_plan` groups them, and
+    each group scans through this process's own :func:`get_kernel`.
+    Returns ``(payload, stats)`` — the payload is the filled visitor
+    (compact partial aggregate) or the recorded visits list, the stats
+    carry the shard's scan counters.
+    """
+    runs, bounds_by_code, prototype = task
+    table = _WORKER_TABLE
+    if table is None:  # pool used without its initializer; cannot happen via ProcessBackend
+        raise BuildError("scan worker has no attached table")
+    visitor = prototype if prototype is not None else RecordingVisitor()
+    kernel = get_kernel()
+    local = QueryStats()
+    for code, spans in _group_runs_by_code(runs).items():
+        bounds = bounds_by_code[code]
+        scanned, matched = scan_runs(
+            table, bounds, spans, visitor, kernel=kernel, stats=local
         )
-    return _POOL
+        local.points_scanned += scanned
+        local.points_matched += matched
+        if not bounds:
+            local.exact_points += scanned
+    payload = visitor if prototype is not None else visitor.visits
+    return payload, local
 
 
-def set_scan_pool(pool: ThreadPoolExecutor | None) -> ThreadPoolExecutor | None:
-    """Swap the process-wide scan pool (pluggable executor); returns the old.
+class ProcessBackend:
+    """Shard scans on a persistent pool of worker processes.
 
-    Pass ``None`` to reset to lazy re-creation. The caller owns shutdown of
-    the returned pool.
+    Resources are acquired on the first :meth:`scan`, once: the table is
+    copied into shared memory (unless it already is one — pass a
+    :class:`SharedMemoryTable` to share segments) and each worker process
+    attaches zero-copy views in its pool initializer. Per query, only run
+    lists, resolved residual bounds, and partial aggregates cross the
+    process boundary — a few hundred bytes each way for mergeable
+    visitors.
+
+    Parameters
+    ----------
+    table:
+        The built index's clustered table (or an existing
+        :class:`SharedMemoryTable`, which the caller keeps owning).
+    workers:
+        Pool size; default one per core (:func:`default_num_shards`).
+    mp_context:
+        Optional ``multiprocessing`` context (the platform default —
+        ``fork`` on Linux — is fastest; ``spawn`` also works since
+        workers attach by segment name).
+
+    :meth:`shutdown` (or process exit, via the shm registry's ``atexit``
+    sweep) stops the pool and unlinks every owned segment; a later scan
+    acquires afresh.
     """
-    global _POOL
-    old, _POOL = _POOL, pool
-    return old
+
+    def __init__(self, table: Table, workers: int | None = None, mp_context=None):
+        if workers is not None and int(workers) < 1:
+            raise QueryError(f"ProcessBackend needs workers >= 1, got {workers}")
+        self.workers = int(workers) if workers is not None else default_num_shards()
+        self.table = table
+        self.shm_table: SharedMemoryTable | None = (
+            table if isinstance(table, SharedMemoryTable) else None
+        )
+        self._mp_context = mp_context
+        self._pool: ProcessPoolExecutor | None = None
+        self._lock = threading.Lock()
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        # Locked check-then-create: concurrent engine worker threads all
+        # land here on their first scan, and an unsynchronized race would
+        # copy the table once per loser and fork one pool each.
+        with self._lock:
+            if self._pool is None:
+                if self.shm_table is None:
+                    self.shm_table = SharedMemoryTable.from_table(self.table)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_worker_attach,
+                    initargs=(self.shm_table.handle,),
+                    mp_context=self._mp_context,
+                )
+            return self._pool
+
+    def scan(self, plan, query, visitor, stats, per_shard) -> None:
+        """Scan ``per_shard`` (non-empty run lists in shard order) into
+        ``visitor``, accumulating the scan counters into ``stats``."""
+        pool = self._ensure_pool()
+        codes = {code for shard_runs in per_shard for _, _, code in shard_runs}
+        bounds_by_code = {
+            code: [(dim, *query.bounds(dim)) for dim in plan.checks_for(code)]
+            for code in codes
+        }
+        prototype = visitor.fresh() if is_mergeable(visitor) else None
+        futures = [
+            pool.submit(_worker_scan, (shard_runs, bounds_by_code, prototype))
+            for shard_runs in per_shard
+        ]
+        for future in futures:  # shard order == storage order, deterministic
+            payload, local = future.result()
+            if prototype is not None:
+                visitor.merge(payload)
+            else:
+                for start, stop, mask in payload:
+                    visitor.visit(self.table, start, stop, mask)
+            stats.points_scanned += local.points_scanned
+            stats.points_matched += local.points_matched
+            stats.exact_points += local.exact_points
+            stats.kernel_groups += local.kernel_groups
+
+    def shutdown(self) -> None:
+        """Stop the worker pool and unlink owned shared memory (idempotent)."""
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+            if self.shm_table is not None and self.shm_table is not self.table:
+                self.shm_table.unlink()
+                self.shm_table = None
 
 
 class ShardedFloodIndex(FloodIndex):
-    """A Flood index whose single-query scans fan out across cores.
+    """A Flood index whose large single-query scans fan out across cores.
 
     Drop-in replacement for :class:`FloodIndex` (same build, plan, and
     refinement; :class:`~repro.core.engine.BatchQueryEngine` accepts it
-    directly) that overrides only the scan stage: a query's coalesced runs
-    are split at shard boundaries and scanned concurrently.
+    directly) that overrides only the scan stage: a large query's
+    coalesced runs are split at shard boundaries and scanned on a
+    :class:`ProcessBackend` this index owns. The worker pool and the
+    table's shared-memory copy are created by the first parallel scan and
+    released by :meth:`shutdown`.
 
     Parameters
     ----------
@@ -102,18 +230,6 @@ class ShardedFloodIndex(FloodIndex):
     min_parallel_points:
         Plans scanning fewer points than this run serially (0 forces the
         parallel path, used by the identity tests).
-    executor:
-        Worker pool for the (default) thread backend; defaults to the
-        process-wide pool from :func:`get_scan_pool`. Ignored by other
-        backends.
-    backend:
-        Scan-backend spec: ``'serial'`` / ``'thread'`` / ``'process'``
-        or a :class:`~repro.core.backends.ScanBackend` instance.
-        ``None`` (default) means ``'thread'`` — the pre-backend
-        behavior. String specs resolve lazily on first parallel scan
-        (the process backend needs the built table); the resolved
-        instance is reachable as :attr:`scan_backend` and the caller
-        owns its :meth:`~repro.core.backends.ScanBackend.shutdown`.
     **kwargs:
         ``flatten`` / ``refinement`` / ``delta``, as for
         :class:`FloodIndex`.
@@ -126,8 +242,6 @@ class ShardedFloodIndex(FloodIndex):
         layout,
         num_shards: int | None = None,
         min_parallel_points: int = MIN_PARALLEL_POINTS,
-        executor: ThreadPoolExecutor | None = None,
-        backend: str | ScanBackend | None = None,
         **kwargs,
     ):
         super().__init__(layout, **kwargs)
@@ -135,17 +249,12 @@ class ShardedFloodIndex(FloodIndex):
             raise BuildError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = int(num_shards) if num_shards else default_num_shards()
         self.min_parallel_points = int(min_parallel_points)
-        self.executor = executor
-        self._backend_spec = "thread" if backend is None else backend
-        self._backend: ScanBackend | None = (
-            backend if isinstance(backend, ScanBackend) else None
-        )
-        self._backend_lock = threading.Lock()
+        self._backend: ProcessBackend | None = None
 
     # ------------------------------------------------------------------ build
     def _build(self, table: Table) -> None:
         super()._build(table)
-        self._compute_shard_bounds()
+        self._init_shards()
 
     @classmethod
     def wrap(
@@ -153,8 +262,6 @@ class ShardedFloodIndex(FloodIndex):
         index: FloodIndex,
         num_shards: int | None = None,
         min_parallel_points: int = MIN_PARALLEL_POINTS,
-        executor: ThreadPoolExecutor | None = None,
-        backend: str | ScanBackend | None = None,
     ) -> "ShardedFloodIndex":
         """Shard an already-built :class:`FloodIndex` without rebuilding.
 
@@ -166,8 +273,6 @@ class ShardedFloodIndex(FloodIndex):
             index.layout,
             num_shards=num_shards,
             min_parallel_points=min_parallel_points,
-            executor=executor,
-            backend=backend,
             flatten=index.flatten,
             refinement=index.refinement,
             delta=index.delta,
@@ -176,11 +281,12 @@ class ShardedFloodIndex(FloodIndex):
             if hasattr(index, attr):
                 setattr(sharded, attr, getattr(index, attr))
         sharded.build_seconds = index.build_seconds
-        sharded._compute_shard_bounds()
+        sharded._init_shards()
         return sharded
 
-    def _compute_shard_bounds(self) -> None:
-        """Row offsets delimiting the shards, snapped to cell starts.
+    def _init_shards(self) -> None:
+        """Row offsets delimiting the shards, snapped to cell starts, and
+        the (not yet started) process backend that scans them.
 
         Targets split the *rows* evenly (not the cells — skewed data packs
         most rows into few cells, and row balance is what balances scan
@@ -188,6 +294,7 @@ class ShardedFloodIndex(FloodIndex):
         always owns whole cells. Duplicate or degenerate boundaries
         collapse, so the effective shard count may be below ``num_shards``.
         """
+        self.shutdown()  # a rebuild must not strand the old table's pool
         n = self._table.num_rows
         cell_starts = self._cell_starts
         k = min(self.num_shards, max(1, n))
@@ -197,6 +304,10 @@ class ShardedFloodIndex(FloodIndex):
         inner = inner[(inner > 0) & (inner < n)]
         self._shard_bounds = np.concatenate(
             (np.zeros(1, dtype=np.int64), inner, np.full(1, n, dtype=np.int64))
+        )
+        self._backend = ProcessBackend(
+            self._table,
+            workers=min(self._shard_bounds.size - 1, default_num_shards()),
         )
 
     @property
@@ -211,38 +322,11 @@ class ShardedFloodIndex(FloodIndex):
         """Shard count after snapping to cell boundaries (<= ``num_shards``)."""
         return self.shard_bounds.size - 1
 
-    # --------------------------------------------------------------- backend
-    @property
-    def scan_backend(self) -> ScanBackend:
-        """The resolved backend executing this index's shard scans.
-
-        Resolves a string spec lazily (``'process'`` needs the built
-        table to place in shared memory); repeated access returns the
-        same instance. The caller (CLI, benchmark, server) owns
-        :meth:`~repro.core.backends.ScanBackend.shutdown` of process
-        backends — per-query code never tears pools down.
-        """
-        if self._backend is None:
-            # Locked: concurrent engine workers resolving 'process' would
-            # otherwise each copy the table into shared memory and leak
-            # every losing copy's segments until the atexit sweep.
-            with self._backend_lock:
-                if self._backend is None:
-                    table = self.table if self._backend_spec == "process" else None
-                    self._backend = resolve_backend(
-                        self._backend_spec, table=table, executor=self.executor
-                    )
-        return self._backend
-
-    def use_backend(self, backend: str | ScanBackend) -> ScanBackend:
-        """Swap the scan backend; returns the *previous* resolved backend
-        (or ``None``), whose shutdown the caller owns."""
-        old = self._backend
-        self._backend_spec = backend
-        self._backend = backend if isinstance(backend, ScanBackend) else None
-        if self._backend is None:
-            self.scan_backend  # resolve eagerly so config errors fail here
-        return old
+    def shutdown(self) -> None:
+        """Stop the worker processes and unlink the table's shared-memory
+        copy (idempotent; a later parallel scan starts them again)."""
+        if self._backend is not None:
+            self._backend.shutdown()
 
     # ------------------------------------------------------------------- scan
     def execute_plan(
@@ -253,30 +337,21 @@ class ShardedFloodIndex(FloodIndex):
         stats: QueryStats,
         runs: list[tuple[int, int, int]] | None = None,
     ) -> None:
-        """Scan a (refined) plan with per-shard fan-out on the backend.
+        """Scan a (refined) plan, fanning out across shards when large.
 
-        Small plans (fewer than ``min_parallel_points`` planned points),
-        single-shard tables, and the serial backend fall through to the
-        serial kernel; otherwise the runs are split at shard boundaries
-        and handed to :attr:`scan_backend`, which merges partial
-        aggregates (mergeable visitors) or replays recorded visits in
-        shard order.
+        Plans of at least ``min_parallel_points`` planned points that
+        span more than one shard are split at shard boundaries and
+        scanned on the process backend, which merges partial aggregates
+        (mergeable visitors) or replays recorded visits in shard order;
+        everything else runs the serial kernel.
         """
         if runs is None:
             runs = plan.coalesced_runs()
         if not runs:
             return
-        bounds = self._shard_bounds
-        planned_points = sum(stop - start for start, stop, _ in runs)
-        if bounds.size - 1 <= 1 or planned_points < self.min_parallel_points:
-            super().execute_plan(plan, query, visitor, stats, runs=runs)
-            return
-        backend = self.scan_backend
-        if isinstance(backend, SerialBackend):
-            super().execute_plan(plan, query, visitor, stats, runs=runs)
-            return
-        per_shard = [rs for rs in split_runs(runs, bounds) if rs]
-        if len(per_shard) <= 1:
-            super().execute_plan(plan, query, visitor, stats, runs=runs)
-            return
-        backend.scan(self, plan, query, visitor, stats, per_shard)
+        if sum(stop - start for start, stop, _ in runs) >= self.min_parallel_points:
+            per_shard = [rs for rs in split_runs(runs, self._shard_bounds) if rs]
+            if len(per_shard) > 1:
+                self._backend.scan(plan, query, visitor, stats, per_shard)
+                return
+        super().execute_plan(plan, query, visitor, stats, runs=runs)

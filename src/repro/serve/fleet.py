@@ -1,7 +1,7 @@
 """Multi-process serving fleet: one writer, N ``SO_REUSEPORT`` readers.
 
-Every prior serving win (micro-batching, result cache, scan backends,
-fused kernels) still funnels through one asyncio event loop — the hard
+Every prior serving win (micro-batching, result cache, fused kernels)
+still funnels through one asyncio event loop — the hard
 QPS ceiling the ROADMAP names. This module breaks it with processes, not
 threads, and without giving up the single-writer mutation discipline:
 

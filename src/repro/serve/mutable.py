@@ -1,7 +1,7 @@
 """Mutable serving: wire inserts, non-blocking merges, adaptive re-layout.
 
 :class:`MutableController` is the piece that lets ``repro serve`` host a
-:class:`~repro.core.delta.DeltaBufferedFlood` (plain or sharded) as a
+:class:`~repro.core.delta.DeltaBufferedFlood` as a
 *live, writable* system instead of a read-only query server:
 
 - **Inserts** arrive as wire ops and are applied through the batcher's
@@ -14,11 +14,9 @@
   (:meth:`DeltaBufferedFlood.prepare_merge`) while reads keep hitting
   the old index + buffer; the finished index is then swapped in
   atomically through the write barrier
-  (:meth:`~repro.core.delta.DeltaBufferedFlood.commit_merge`), and the
-  superseded inner index's scan backend — worker pool
-  plus shared-memory segments for the process backend — is retired on
-  an executor thread. Rows inserted *during* the merge stay buffered
-  and visible throughout; one maintenance job runs at a time.
+  (:meth:`~repro.core.delta.DeltaBufferedFlood.commit_merge`). Rows
+  inserted *during* the merge stay buffered and visible throughout; one
+  maintenance job runs at a time.
 - **Adaptive re-layout** (``repro serve --adaptive``): the batcher's
   ``on_query_executed`` hook feeds a
   :class:`~repro.core.monitor.WorkloadMonitor`; when the recent window's
@@ -235,8 +233,7 @@ class MutableController:
         return ok
 
     async def _run_one(self, kind: str, queries=None) -> bool:
-        """One merge or re-layout: prepare off-loop, commit via barrier,
-        retire the superseded scan backend off-loop.
+        """One merge or re-layout: prepare off-loop, commit via barrier.
 
         Returns True on success; swallows failures into
         ``maintenance_failures`` — a broken merge must not take the
@@ -244,8 +241,6 @@ class MutableController:
         """
         loop = asyncio.get_running_loop()
         index = self.index
-        prepared = None
-        swapped: dict[str, object] = {}
         try:
             if kind == "relayout":
                 retrains = getattr(index, "retrains", 0)
@@ -262,11 +257,10 @@ class MutableController:
                 return True
 
             def commit():
-                swapped["old"] = index.commit_merge(prepared)
+                index.commit_merge(prepared)
                 if self.monitor is not None:
                     # Fresh baseline: "normal" means the new index.
                     self.monitor.reset()
-                return swapped["old"]
 
             await self.batcher.submit_write(commit)
             # Durable indexes split their post-commit work: commit_merge
@@ -288,30 +282,6 @@ class MutableController:
         except Exception:
             self.maintenance_failures += 1
             return False
-        finally:
-            # Retire whichever inner index lost the swap — the superseded
-            # one after a commit, the prepared one if the commit never
-            # happened (failure or cancellation between prepare and
-            # commit). Running this on *every* path is what guarantees
-            # the process backend's worker pool and shared-memory
-            # segments are released even on the exception edges (the
-            # resource-release rule of `repro check` guards exactly this).
-            current = getattr(index, "index", None)
-            losers = (
-                swapped.get("old"),
-                prepared.index if prepared is not None else None,
-            )
-            for loser in losers:
-                if loser is None or loser is current:
-                    continue
-                backend = getattr(loser, "_backend", None)
-                if backend is not None:
-                    # Worker-pool join + shm unlink can block; keep it
-                    # off-loop, and shield it so a cancelled maintenance
-                    # task still completes the retirement.
-                    await asyncio.shield(
-                        loop.run_in_executor(None, backend.shutdown)
-                    )
 
     # ------------------------------------------------------------- adaptive
     def note_query(self, query: Query, stats: QueryStats) -> None:

@@ -14,8 +14,8 @@ column store and using the same optimizations where applicable"):
   permutation (clustering), and cumulative-aggregate companion columns.
 - :mod:`repro.storage.visitor` -- aggregation visitors (COUNT / SUM / AVG /
   MIN / MAX / collect) accumulated during scans, with the mergeable
-  protocol (``fresh`` / ``merge``) the parallel scan backends ship
-  partial aggregates through.
+  protocol (``fresh`` / ``merge``) sharded scans ship partial aggregates
+  through.
 - :mod:`repro.storage.scan` -- the scan-and-filter kernel, including the
   exact-range optimization that skips per-value checks.
 - :mod:`repro.storage.shm` -- the table mirrored into

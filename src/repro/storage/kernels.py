@@ -11,7 +11,7 @@ across all runs, check bounds and fold the aggregate in the same loop,
 and touch the visitor exactly once with the finished partial.
 
 The kernels are ``@numba.njit(nogil=True, cache=True)`` loops compiled
-per dtype signature. ``nogil`` means the thread backend scales: shard
+per dtype signature. ``nogil`` means engine worker threads scale: their
 scans spend their time outside the GIL even for the Python-heavy visitor
 shapes. numba is **never** a hard dependency; it is an extras tag
 (``pip install repro[kernels]``). The platform picks the scan path, no
@@ -279,8 +279,8 @@ class ScanKernel:
 
     :func:`get_kernel` hands out one process-wide instance, and only when
     numba imports; its counters feed the server's ``kernel`` stats block.
-    Counter updates are locked — the thread backend drives one kernel
-    from many shard workers at once. Constructed directly on an install
+    Counter updates are locked — engine worker threads drive one kernel
+    from many queries at once. Constructed directly on an install
     without numba, an instance runs the kernel bodies as plain Python.
     """
 
@@ -464,8 +464,7 @@ def get_kernel(spec: str = "auto") -> ScanKernel | None:
     ``spec`` resolves to ``'numpy'`` (the classic ``scan_runs`` path).
 
     Sharing one instance keeps the usage counters global and shares the
-    compiled dispatch cache across every index and backend in the
-    process.
+    compiled dispatch cache across every index in the process.
     """
     return _KERNEL if resolve_kernel(spec) == "numba" else None
 
@@ -507,8 +506,8 @@ def stats_payload() -> dict:
     """The ``kernel`` observability block (server stats op).
 
     ``tier`` is the scan path this process serves with. The fusion
-    counters cover this process only — with the process scan backend,
-    worker-side fusions count in the workers, so the per-query truth is
+    counters cover this process only — on a sharded index, fusions in
+    its scan worker processes count there, so the per-query truth is
     ``QueryStats.kernel_groups``.
     """
     return {

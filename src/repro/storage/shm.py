@@ -1,6 +1,6 @@
 """Column arrays in OS shared memory, for zero-copy multi-process scans.
 
-The process-pool scan backend (:mod:`repro.core.backends`) runs one
+The process-pool sharded scan (:mod:`repro.core.shard`) runs one
 query's shard scans on worker *processes*, so the CPU-bound parts of a
 scan — residual-mask evaluation, visitor accumulation — escape the GIL.
 That only pays off if the workers do not have to deserialize the table:
@@ -20,7 +20,7 @@ Lifecycle: POSIX shared memory outlives the process that created it
 unless explicitly unlinked, so leak-freedom is a contract here, not an
 accident. Every segment this module *creates* is tracked in a
 process-local registry and unlinked either by
-:meth:`SharedMemoryTable.unlink` (the backend's ``shutdown`` calls it) or
+:meth:`SharedMemoryTable.unlink` (``ProcessBackend.shutdown`` calls it) or
 by the ``atexit`` sweep — whichever comes first; both are idempotent.
 Neither helps against ``kill -9`` (no atexit runs), so segment names
 embed the owning pid (``repro-<pid>-<token>``) and

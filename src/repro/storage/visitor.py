@@ -10,14 +10,14 @@ from cumulative-aggregate columns without touching the data at all).
 Parallel scans add a second contract, the **mergeable-visitor protocol**:
 a visitor that implements both :meth:`Visitor.fresh` (a new empty visitor
 of the same configuration) and :meth:`Visitor.merge` (fold another
-instance's partial aggregate into this one) lets the scan backends in
-:mod:`repro.core.backends` give each worker its own private visitor and
-combine the compact partial aggregates afterwards, in deterministic
+instance's partial aggregate into this one) lets the sharded scan in
+:mod:`repro.core.shard` give each worker process its own private visitor
+and combine the compact partial aggregates afterwards, in deterministic
 storage (shard) order. Workers then ship back a handful of counters
-instead of recorded ``(start, stop, mask)`` lists, and the thread path
-skips the replay pass entirely. Visitors that implement neither are still
-fully supported — the backends fall back to :class:`RecordingVisitor`
-replay, which works for arbitrary visitors.
+instead of recorded ``(start, stop, mask)`` lists. Visitors that
+implement neither are still fully supported — the sharded scan falls
+back to :class:`RecordingVisitor` replay, which works for arbitrary
+visitors.
 
 Aggregates preserve the column dtype: SUM/MIN/MAX accumulate through
 numpy scalars (``.item()``), so float-valued tables (anything duck-typing
@@ -111,7 +111,7 @@ class Visitor(ABC):
         """A new *empty* visitor with this one's configuration.
 
         Part of the mergeable protocol; the default marks the visitor
-        non-mergeable (backends fall back to recording + replay).
+        non-mergeable (sharded scans fall back to recording + replay).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the mergeable protocol"
@@ -121,7 +121,7 @@ class Visitor(ABC):
         """Fold ``other``'s partial aggregate into this visitor.
 
         ``other`` is always a :meth:`fresh` sibling fed a disjoint,
-        earlier-or-later span of the scan; backends merge in storage
+        earlier-or-later span of the scan; sharded scans merge in storage
         (shard) order, so order-sensitive visitors stay deterministic.
         """
         raise NotImplementedError(
@@ -291,7 +291,7 @@ class MaxVisitor(Visitor):
 class RecordingVisitor(Visitor):
     """Captures ``visit`` calls verbatim for later replay.
 
-    The any-visitor fallback of the scan backends: each shard's worker
+    The any-visitor fallback of the sharded scan: each shard's worker
     records the expensive part of the scan (column decode + residual
     masking) here, then the recorded ``(start, stop, mask)`` triples are
     replayed into the caller's real visitor in storage order — any

@@ -243,6 +243,24 @@ class TestResourceRelease:
         )))
         assert len(found) == 1
 
+    def test_process_backend_is_tracked(self):
+        found = active("resource-release", (CORE, (
+            "def pooled(table):\n"
+            "    backend = ProcessBackend(table, workers=2)\n"
+            "    return None\n"
+        )))
+        assert len(found) == 1
+
+    def test_prepared_merge_is_not_a_resource(self):
+        # A prepared merge holds a plain in-memory index: no pool, no shm.
+        found = active("resource-release", (SERVE, (
+            "async def merge(loop, index):\n"
+            "    prepared = await loop.run_in_executor(None, index.prepare_merge)\n"
+            "    direct = index.prepare_relayout([])\n"
+            "    return None\n"
+        )))
+        assert found == []
+
     def test_suppression(self):
         found, suppressed = check("resource-release", (CORE, (
             "def publish(table):\n"

@@ -1,29 +1,23 @@
-"""Scan backends: identity across serial/thread/process, plumbing, leaks.
+"""Process fan-out: identity to the per-cell loop, plumbing, leaks.
 
-The backend contract is that *where* a shard scan runs never changes
-*what* it computes: every backend is held to the seed's
+The contract is that scanning a query's shards on worker processes never
+changes *what* it computes: the sharded index is held to the seed's
 ``FloodIndex.query_percell`` results and counters, for mergeable
 visitors (partial-aggregate shipping) and arbitrary ones (recording
-fallback) alike.
+fallback) alike. Every index that scans in parallel is shut down.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.backends import (
-    BACKEND_NAMES,
-    ProcessBackend,
-    ScanBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-)
 from repro.core.engine import BatchQueryEngine
 from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
-from repro.core.shard import ShardedFloodIndex
+from repro.core.shard import ProcessBackend, ShardedFloodIndex
 from repro.errors import QueryError
 from repro.query.predicate import Query
+from repro.query.stats import QueryStats
+from repro.storage.scan import split_runs
 from repro.storage.shm import SharedMemoryTable, owned_segment_names
 from repro.storage.visitor import (
     CollectVisitor,
@@ -44,16 +38,19 @@ def flood():
 
 
 @pytest.fixture(scope="module")
-def process_backend(flood):
-    backend = ProcessBackend(flood.table, workers=2)
-    yield backend
-    backend.shutdown()
+def sharded(flood):
+    index = ShardedFloodIndex.wrap(flood, num_shards=4, min_parallel_points=0)
+    yield index
+    index.shutdown()
 
 
-def _sharded(flood, backend):
-    return ShardedFloodIndex.wrap(
-        flood, num_shards=4, min_parallel_points=0, backend=backend
-    )
+def _on_path(flood, sharded, path):
+    """The sharded index on one of its two scan paths: ``process`` fans
+    every plan out to worker processes, ``serial`` keeps every plan below
+    ``min_parallel_points`` and so on the serial kernel."""
+    if path == "process":
+        return sharded
+    return ShardedFloodIndex.wrap(flood, num_shards=4, min_parallel_points=10**12)
 
 
 def _queries(flood, n, seed):
@@ -62,8 +59,8 @@ def _queries(flood, n, seed):
 
 
 class _DoubleCount(CountVisitor):
-    """A subclass overriding visit(); module-level so the process backend
-    can pickle fresh() prototypes by reference."""
+    """A subclass overriding visit(); module-level so worker processes
+    can unpickle fresh() prototypes by reference."""
 
     def visit(self, table, start, stop, mask):
         super().visit(table, start, stop, mask)
@@ -86,90 +83,78 @@ class _TupleVisitor(Visitor):
 
 
 class TestIdentity:
-    @pytest.mark.parametrize("spec", BACKEND_NAMES)
-    def test_counts_and_stats_match_percell(self, flood, process_backend, spec):
-        backend = process_backend if spec == "process" else spec
-        sharded = _sharded(flood, backend)
-        for query in _queries(flood, 12, seed=spec == "serial" and 1 or 2):
+    @pytest.mark.parametrize("path", ["serial", "process"])
+    def test_counts_and_stats_match_percell(self, flood, sharded, path):
+        index = _on_path(flood, sharded, path)
+        for query in _queries(flood, 12, seed=2):
             fast, slow = CountVisitor(), CountVisitor()
-            s_fast = sharded.query(query, fast)
+            s_fast = index.query(query, fast)
             s_slow = flood.query_percell(query, slow)
             assert fast.result == slow.result
             assert s_fast.points_scanned == s_slow.points_scanned
             assert s_fast.points_matched == s_slow.points_matched
             assert s_fast.exact_points == s_slow.exact_points
 
-    @pytest.mark.parametrize("spec", BACKEND_NAMES)
-    def test_sum_and_collect_match(self, flood, process_backend, spec):
-        backend = process_backend if spec == "process" else spec
-        sharded = _sharded(flood, backend)
+    @pytest.mark.parametrize("path", ["serial", "process"])
+    def test_sum_and_collect_match(self, flood, sharded, path):
+        index = _on_path(flood, sharded, path)
         for query in _queries(flood, 6, seed=3):
             total, reference_total = SumVisitor("y"), SumVisitor("y")
-            sharded.query(query, total)
+            index.query(query, total)
             flood.query_percell(query, reference_total)
             assert total.result == reference_total.result
             rows, reference_rows = CollectVisitor(), CollectVisitor()
-            sharded.query(query, rows)
+            index.query(query, rows)
             flood.query_percell(query, reference_rows)
             np.testing.assert_array_equal(
                 np.sort(rows.result), np.sort(reference_rows.result)
             )
 
-    def test_collect_order_deterministic_across_backends(
-        self, flood, process_backend
-    ):
-        """Partial-aggregate shipping (thread, process) reproduces the
-        replay path's visit order exactly — shard order, per-shard code
-        grouping — not just the same multiset. (The *unsharded* serial
-        path orders by code globally, so it is compared as a multiset.)"""
-        thread = _sharded(flood, "thread")
-        process = _sharded(flood, process_backend)
+    def test_collect_order_deterministic_across_backends(self, flood, sharded):
+        """Partial-aggregate shipping reproduces the serial kernel's
+        visit order shard by shard — shard order, per-shard code
+        grouping — not just the same multiset."""
         for query in _queries(flood, 4, seed=4):
-            a, b, reference = CollectVisitor(), CollectVisitor(), CollectVisitor()
-            thread.query(query, a)
-            process.query(query, b)
-            flood.query_percell(query, reference)
-            np.testing.assert_array_equal(a.result, b.result)
-            np.testing.assert_array_equal(
-                np.sort(a.result), np.sort(reference.result)
-            )
+            got = CollectVisitor()
+            sharded.query(query, got)
+            plan = flood.plan(query)
+            flood.refine_plan(plan)
+            expected = CollectVisitor()
+            for shard_runs in split_runs(
+                plan.coalesced_runs(), sharded.shard_bounds
+            ):
+                if shard_runs:
+                    flood.execute_plan(
+                        plan, query, expected, QueryStats(), runs=shard_runs
+                    )
+            np.testing.assert_array_equal(got.result, expected.result)
 
-    def test_subclassed_visitor_correct_under_every_backend(
-        self, flood, process_backend
-    ):
+    def test_subclassed_visitor_correct_under_every_backend(self, flood, sharded):
         """Regression: fresh() used to hard-code the base class, so a
         subclass overriding visit() silently computed the base aggregate
-        on the thread/process paths."""
+        on the parallel path."""
         query = Query({"x": (50, 900), "z": (100, 800)})
         expected = CountVisitor()
         flood.query_percell(query, expected)
-        for backend in ("serial", "thread", process_backend):
-            doubled = _DoubleCount()
-            _sharded(flood, backend).query(query, doubled)
-            assert doubled.result == 2 * expected.result, backend
+        doubled = _DoubleCount()
+        sharded.query(query, doubled)
+        assert doubled.result == 2 * expected.result
 
-    def test_non_mergeable_visitor_uses_recording_fallback(
-        self, flood, process_backend
-    ):
-        for backend in ("thread", process_backend):
-            sharded = _sharded(flood, backend)
-            query = Query({"x": (50, 900), "z": (100, 800)})
-            fallback, reference = _TupleVisitor(), CountVisitor()
-            sharded.query(query, fallback)
-            flood.query_percell(query, reference)
-            assert sum(count for _, _, count in fallback.result) == reference.result
+    def test_non_mergeable_visitor_uses_recording_fallback(self, flood, sharded):
+        query = Query({"x": (50, 900), "z": (100, 800)})
+        fallback, reference = _TupleVisitor(), CountVisitor()
+        sharded.query(query, fallback)
+        flood.query_percell(query, reference)
+        assert sum(count for _, _, count in fallback.result) == reference.result
 
-    def test_cumulative_fast_path_survives_process_hop(self, flood):
+    def test_cumulative_fast_path_survives_process_hop(self):
         """Workers see the shared cumulative column, so exact-range SUMs
         stay O(1) on the far side of the pool."""
         table = make_table(n=5000, dims=DIMS, seed=12)
         index = FloodIndex(GridLayout(DIMS, (6, 5))).build(table)
         index.table.add_cumulative("y")
-        backend = ProcessBackend(index.table, workers=2)
+        sharded = ShardedFloodIndex.wrap(index, num_shards=4, min_parallel_points=0)
         try:
-            sharded = ShardedFloodIndex.wrap(
-                index, num_shards=4, min_parallel_points=0, backend=backend
-            )
             query = Query({"x": table.min_max("x")})  # whole domain: exact runs
             fast, slow = SumVisitor("y"), SumVisitor("y")
             sharded.query(query, fast)
@@ -177,51 +162,27 @@ class TestIdentity:
             assert fast.result == slow.result
             assert fast.cumulative_hits > 0
         finally:
-            backend.shutdown()
+            sharded.shutdown()
 
 
 class TestPlumbing:
-    def test_resolve_names(self, flood):
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("thread"), ThreadBackend)
-        backend = resolve_backend("process", table=flood.table)
-        try:
-            assert isinstance(backend, ProcessBackend)
-        finally:
-            backend.shutdown()
-        instance = SerialBackend()
-        assert resolve_backend(instance) is instance
+    def test_small_plans_stay_serial(self, flood):
+        """Below min_parallel_points no pool or segment is ever created."""
+        before = set(owned_segment_names())
+        sharded = ShardedFloodIndex.wrap(flood, num_shards=4)
+        query = Query({"x": (100, 120)})
+        got, expected = CountVisitor(), CountVisitor()
+        sharded.query(query, got)
+        flood.query_percell(query, expected)
+        assert got.result == expected.result
+        assert set(owned_segment_names()) == before
+        sharded.shutdown()  # a no-op here, and must not raise
 
-    def test_resolve_rejects_unknown_and_tableless_process(self):
-        with pytest.raises(QueryError):
-            resolve_backend("gpu")
-        with pytest.raises(QueryError):
-            resolve_backend("process")
-
-    def test_default_backend_is_thread(self, flood):
-        sharded = ShardedFloodIndex.wrap(flood, num_shards=2)
-        assert isinstance(sharded.scan_backend, ThreadBackend)
-        assert sharded.scan_backend is sharded.scan_backend  # cached
-
-    def test_use_backend_swaps_and_returns_old(self, flood):
-        sharded = _sharded(flood, "thread")
-        old = sharded.use_backend("serial")
-        assert isinstance(old, (ThreadBackend, type(None)))
-        assert isinstance(sharded.scan_backend, SerialBackend)
-        with pytest.raises(QueryError):
-            sharded.use_backend("bogus")
-
-    def test_engine_backend_requires_sharded_index(self, flood):
-        with pytest.raises(QueryError, match="ShardedFloodIndex"):
-            BatchQueryEngine(flood, backend="serial")
-
-    def test_engine_backend_wiring_identical_results(self, flood, process_backend):
+    def test_engine_backend_wiring_identical_results(self, flood, sharded):
+        """Engine worker threads share the index's one process pool."""
         queries = _queries(flood, 10, seed=5)
         reference = BatchQueryEngine(flood).run(queries)
-        sharded = _sharded(flood, "thread")
-        engine = BatchQueryEngine(sharded, workers=2, backend=process_backend)
-        assert sharded.scan_backend is process_backend
-        batch = engine.run(queries)
+        batch = BatchQueryEngine(sharded, workers=2).run(queries)
         assert batch.results == reference.results
 
     def test_invalid_worker_count(self, flood):
@@ -234,17 +195,29 @@ class TestLifecycle:
         table = make_table(n=2000, dims=("x", "y"), seed=13)
         index = FloodIndex(GridLayout(("x", "y"), (4,))).build(table)
         before = set(owned_segment_names())
-        backend = ProcessBackend(index.table, workers=2)
+        sharded = ShardedFloodIndex.wrap(index, num_shards=2, min_parallel_points=0)
+        assert set(owned_segment_names()) == before  # nothing until a scan
+        sharded.query(Query({"y": (0, 500)}), CountVisitor())
         created = set(owned_segment_names()) - before
-        assert created  # the table went into shared memory
-        sharded = ShardedFloodIndex.wrap(
-            index, num_shards=2, min_parallel_points=0, backend=backend
-        )
-        visitor = CountVisitor()
-        sharded.query(Query({"x": (0, 500)}), visitor)
-        backend.shutdown()
+        assert created  # the first parallel scan put the table in shm
+        sharded.shutdown()
         assert not created & set(owned_segment_names())
-        backend.shutdown()  # idempotent
+        sharded.shutdown()  # idempotent
+
+    def test_scan_after_shutdown_starts_afresh(self):
+        table = make_table(n=2000, dims=("x", "y"), seed=15)
+        index = FloodIndex(GridLayout(("x", "y"), (4,))).build(table)
+        sharded = ShardedFloodIndex.wrap(index, num_shards=2, min_parallel_points=0)
+        query = Query({"y": (0, 700)})
+        expected = CountVisitor()
+        index.query_percell(query, expected)
+        before = set(owned_segment_names())
+        for _ in range(2):
+            got = CountVisitor()
+            sharded.query(query, got)
+            assert got.result == expected.result
+            sharded.shutdown()
+            assert set(owned_segment_names()) == before
 
     def test_borrowed_shm_table_not_unlinked_by_shutdown(self):
         table = make_table(n=2000, dims=("x", "y"), seed=14)
@@ -255,12 +228,14 @@ class TestLifecycle:
         np.testing.assert_array_equal(shm_table.values("x"), table.values("x"))
         shm_table.unlink()
 
-    def test_pool_survives_across_queries(self, flood, process_backend):
-        sharded = _sharded(flood, process_backend)
+    def test_pool_survives_across_queries(self, flood, sharded):
         for query in _queries(flood, 5, seed=6):
             expected = CountVisitor()
             flood.query_percell(query, expected)
             got = CountVisitor()
             sharded.query(query, got)
             assert got.result == expected.result
-        assert process_backend._pool is not None  # persistent, not per-query
+        pool = sharded._backend._pool
+        assert pool is not None  # persistent, not per-query
+        sharded.query(_queries(flood, 1, seed=7)[0], CountVisitor())
+        assert sharded._backend._pool is pool

@@ -169,6 +169,61 @@ class TestDeltaDtypeAdoption:
         assert buffered[0] == 1 and isinstance(buffered[0], np.int64)
 
 
+#: Inserts that must be rejected whole: non-numeric, out of the int64
+#: column's range, non-scalar in a single-row insert, non-finite, and
+#: their batch forms (the bad value last, after good ones).
+BAD_INSERTS = [
+    ("insert", {"x": 1, "y": "abc", "z": 3}),
+    ("insert", {"x": 1e300, "y": 2, "z": 3}),
+    ("insert", {"x": [1, 2], "y": 5, "z": 3}),
+    ("insert", {"x": 2**63, "y": 2, "z": 3}),
+    ("insert", {"x": float("nan"), "y": 2, "z": 3}),
+    ("insert", {"x": None, "y": 2, "z": 3}),
+    ("insert_many", {"x": [1, 2], "y": [3, 4], "z": [5, "abc"]}),
+    ("insert_many", {"x": [1, 2], "y": [3, 4], "z": [5, 1e300]}),
+    ("insert_many", {"x": [1, 2], "y": [3, 4], "z": [5, float("inf")]}),
+    ("insert_many", {"x": [[1, 2]], "y": [[3, 4]], "z": [[5, 6]]}),
+]
+
+
+class TestDeltaRejectsBadInserts:
+    """A bad value anywhere in a row or batch must leave the buffer,
+    the generation, queries, and merges exactly as they were."""
+
+    @pytest.mark.parametrize(
+        "op, payload",
+        BAD_INSERTS,
+        ids=[f"{op}-{i}" for i, (op, _) in enumerate(BAD_INSERTS)],
+    )
+    def test_bad_insert_changes_nothing(self, op, payload):
+        table = make_table(n=400, dims=DIMS, seed=17)
+        index = DeltaBufferedFlood(
+            GridLayout(DIMS, (2, 2)), merge_threshold=None
+        ).build(table)
+        index.insert({"x": 5, "y": 5, "z": 5})
+        generation = index.generation
+        with pytest.raises(SchemaError):
+            getattr(index, op)(payload)
+        assert index.generation == generation
+        assert {len(column) for column in index._buffer.values()} == {1}
+        query = Query({"x": (0, 1000)})
+        visitor = CountVisitor()
+        index.query(query, visitor)
+        assert visitor.result == 401
+        index.merge()
+        after = CountVisitor()
+        index.query(query, after)
+        assert after.result == 401
+        assert index.table.values("x").dtype == np.int64
+
+    def test_range_edges_accepted(self):
+        table = make_table(n=100, dims=DIMS, seed=18)
+        index = DeltaBufferedFlood(GridLayout(DIMS, (2, 2))).build(table)
+        top = int(np.iinfo(np.int64).max)
+        index.insert({"x": top, "y": -top - 1, "z": 2.0**62})
+        assert [index._buffer[d][0] for d in DIMS] == [top, -top - 1, 2**62]
+
+
 class TestDeltaTimingConsistency:
     def test_buffer_scan_times_agree(self):
         """scan_time and total_time must grow by the *same* measured
@@ -248,26 +303,6 @@ class TestDeltaMergeLifecycle:
         generation = index.generation
         index.commit_merge(index.prepare_merge())
         assert index.generation == generation + 1
-
-    def test_sharded_buffered_combo_identity(self):
-        index = self._build(num_shards=3, min_parallel_points=0)
-        from repro.core.shard import ShardedFloodIndex
-
-        assert isinstance(index.index, ShardedFloodIndex)
-        rng = np.random.default_rng(12)
-        for _ in range(15):
-            index.insert(_row(rng))
-        query = Query({"x": (100, 900), "y": (0, 500)})
-        sharded = CountVisitor()
-        index.query(query, sharded)
-        percell = CountVisitor()
-        index.query_percell(query, percell)
-        assert sharded.result == percell.result
-        index.merge()  # rebuild re-shards
-        assert isinstance(index.index, ShardedFloodIndex)
-        after = CountVisitor()
-        index.query(query, after)
-        assert after.result == sharded.result
 
     def test_relayout_learns_new_layout_and_merges(self):
         from repro.core.cost import AnalyticCostModel

@@ -1,12 +1,12 @@
 """Tests for the sharded index: boundaries, run splitting, result identity.
 
 The load-bearing property mirrors the engine's: the sharded scan path —
-runs split at shard boundaries, scanned on a pool, replayed in order —
-must produce exactly the seed per-cell loop's rows, aggregates, and stats
-counters, for every shard count and under forced parallelism.
+runs split at shard boundaries, scanned on worker processes, merged in
+order — must produce exactly the seed per-cell loop's rows, aggregates,
+and stats counters, for every shard count and under forced parallelism.
+Every index that scans in parallel is shut down, so no worker pool or
+shared-memory segment outlives its test.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from repro.core.engine import BatchQueryEngine
 from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
-from repro.core.shard import ShardedFloodIndex, get_scan_pool, set_scan_pool
+from repro.core.shard import ShardedFloodIndex
 from repro.errors import BuildError
 from repro.query.predicate import Query
 from repro.storage.scan import split_runs
@@ -30,11 +30,22 @@ from tests.helpers import brute_force_rows, collected_rows, make_table, random_q
 DIMS = ("x", "y", "z", "w")
 
 
-def _sharded(table, num_shards=4, columns=(5, 4, 3), **kwargs):
-    kwargs.setdefault("min_parallel_points", 0)  # force the parallel path
-    return ShardedFloodIndex(
-        GridLayout(DIMS, columns), num_shards=num_shards, **kwargs
-    ).build(table)
+@pytest.fixture
+def sharded():
+    """Factory for forced-parallel sharded indexes, shut down at teardown."""
+    built = []
+
+    def make(table, num_shards=4, columns=(5, 4, 3), **kwargs):
+        kwargs.setdefault("min_parallel_points", 0)  # force the parallel path
+        index = ShardedFloodIndex(
+            GridLayout(DIMS, columns), num_shards=num_shards, **kwargs
+        ).build(table)
+        built.append(index)
+        return index
+
+    yield make
+    for index in built:
+        index.shutdown()
 
 
 def _workload(table, n=12, seed=0):
@@ -82,9 +93,9 @@ class TestSplitRuns:
 
 
 class TestShardBounds:
-    def test_bounds_snap_to_cell_starts(self):
+    def test_bounds_snap_to_cell_starts(self, sharded):
         table = make_table(n=3000, dims=DIMS, seed=1, skew=True)
-        index = _sharded(table, num_shards=4)
+        index = sharded(table, num_shards=4)
         bounds = index.shard_bounds
         assert bounds[0] == 0 and bounds[-1] == table.num_rows
         assert np.all(np.diff(bounds) > 0)
@@ -113,9 +124,9 @@ class TestShardBounds:
 
 class TestShardedIdentity:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
-    def test_rows_and_stats_match_percell(self, num_shards):
+    def test_rows_and_stats_match_percell(self, sharded, num_shards):
         table = make_table(n=1200, dims=DIMS, seed=4, skew=True)
-        index = _sharded(table, num_shards=num_shards)
+        index = sharded(table, num_shards=num_shards)
         for query in _workload(table, n=10, seed=5):
             fast, slow = CollectVisitor(), CollectVisitor()
             s_fast = index.query(query, fast)
@@ -130,9 +141,9 @@ class TestShardedIdentity:
                 assert getattr(s_fast, attr) == getattr(s_slow, attr), attr
 
     @pytest.mark.parametrize("refinement", ["plm", "binary", "none"])
-    def test_refinement_variants(self, refinement):
+    def test_refinement_variants(self, sharded, refinement):
         table = make_table(n=900, dims=DIMS, seed=6)
-        index = _sharded(table, num_shards=3, refinement=refinement)
+        index = sharded(table, num_shards=3, refinement=refinement)
         for query in _workload(table, n=6, seed=7):
             assert np.array_equal(
                 collected_rows(index, query), brute_force_rows(index, query)
@@ -142,21 +153,24 @@ class TestShardedIdentity:
         table = make_table(n=1500, dims=DIMS, seed=8, skew=True)
         plain = FloodIndex(GridLayout(DIMS, (5, 4, 3))).build(table)
         wrapped = ShardedFloodIndex.wrap(plain, num_shards=4, min_parallel_points=0)
-        assert wrapped.table is plain.table  # shared, not copied
-        assert wrapped.size_bytes() == plain.size_bytes()
-        for query in _workload(table, n=8, seed=9):
-            a, b = CountVisitor(), CountVisitor()
-            plain.query(query, a)
-            wrapped.query(query, b)
-            assert a.result == b.result
+        try:
+            assert wrapped.table is plain.table  # shared, not copied
+            assert wrapped.size_bytes() == plain.size_bytes()
+            for query in _workload(table, n=8, seed=9):
+                a, b = CountVisitor(), CountVisitor()
+                plain.query(query, a)
+                wrapped.query(query, b)
+                assert a.result == b.result
+        finally:
+            wrapped.shutdown()
 
     def test_wrap_rejects_unbuilt(self):
         with pytest.raises(BuildError):
             ShardedFloodIndex.wrap(FloodIndex(GridLayout(DIMS, (2, 2, 2))))
 
-    def test_sum_visitor_through_shards(self):
+    def test_sum_visitor_through_shards(self, sharded):
         table = make_table(n=1000, dims=DIMS, seed=10)
-        index = _sharded(table, num_shards=4)
+        index = sharded(table, num_shards=4)
         for query in _workload(table, n=6, seed=11):
             sharded_sum, plain_sum = SumVisitor("y"), SumVisitor("y")
             index.query(query, sharded_sum)
@@ -175,44 +189,15 @@ class TestShardedIdentity:
                 collected_rows(index, query), brute_force_rows(index, query)
             )
 
-    def test_through_batch_engine(self):
+    def test_through_batch_engine(self, sharded):
         table = make_table(n=1400, dims=DIMS, seed=14)
-        index = _sharded(table, num_shards=3)
+        index = sharded(table, num_shards=3)
         queries = _workload(table, n=15, seed=15)
         batch = BatchQueryEngine(index, workers=2).run(queries)
         for query, got in zip(queries, batch.results):
             visitor = CountVisitor()
             index.query_percell(query, visitor)
             assert visitor.result == got
-
-
-class TestScanPool:
-    def test_pool_is_pluggable_and_process_wide(self):
-        own = ThreadPoolExecutor(max_workers=2)
-        old = set_scan_pool(own)
-        try:
-            assert get_scan_pool() is own
-            table = make_table(n=900, dims=DIMS, seed=16)
-            index = _sharded(table, num_shards=2)
-            for query in _workload(table, n=4, seed=17):
-                assert np.array_equal(
-                    collected_rows(index, query), brute_force_rows(index, query)
-                )
-        finally:
-            set_scan_pool(old)
-            own.shutdown()
-
-    def test_per_index_executor_override(self):
-        own = ThreadPoolExecutor(max_workers=2)
-        try:
-            table = make_table(n=900, dims=DIMS, seed=18)
-            index = _sharded(table, num_shards=2, executor=own)
-            for query in _workload(table, n=4, seed=19):
-                assert np.array_equal(
-                    collected_rows(index, query), brute_force_rows(index, query)
-                )
-        finally:
-            own.shutdown()
 
 
 class TestRecordingVisitor:

@@ -10,7 +10,7 @@ dynamic dispatch, plain slow Python) at test time.
 
 The budget is generous (0.5 s) because it bounds *loop callbacks*, not
 tests: every deliberately slow piece of serving work (merge prepare,
-engine batches, backend shutdown) runs on executor threads, so a healthy
+engine batches, checkpoints) runs on executor threads, so a healthy
 loop never holds a callback anywhere near that long even on a loaded CI
 runner. Tune with ``REPRO_LOOP_STALL_BUDGET`` (seconds); ``0`` disables
 the sanitizer entirely.

@@ -148,7 +148,6 @@ class TestServerStopRace:
         for seed in SEEDS:
             with _chaos(seed):
                 asyncio.run(scenario())
-        delta.shutdown()
 
 
 class TestClientCloseRace:

@@ -7,8 +7,7 @@ The acceptance scenarios for serving a ``DeltaBufferedFlood`` over TCP:
   with no stale cache hit (generation-keyed invalidation over real TCP);
 - pipelined concurrent inserts + queries — including automatic off-loop
   merges mid-stream — always end at results identical to a
-  rebuilt-from-scratch oracle, for the serial, thread, and process scan
-  backends;
+  rebuilt-from-scratch oracle;
 - a server mid-merge still answers ``ping`` / ``stats`` inline and keeps
   serving queries from the old index + buffer;
 - the batcher's write barrier never lets a mutation interleave with an
@@ -31,12 +30,9 @@ from repro.errors import QueryError
 from repro.serve.batcher import MicroBatcher
 from repro.serve.client import AsyncFloodClient, FloodClient, ServerError
 from repro.serve.server import FloodServer
-from repro.analysis.sanitizers import shm_leak_sanitizer
-from repro.storage.shm import owned_segment_names
 from repro.storage.table import Table
 
 DIMS = ("x", "y", "z")
-BACKENDS = ("serial", "thread", "process")
 
 
 def _make_data(n, seed):
@@ -44,13 +40,9 @@ def _make_data(n, seed):
     return {dim: rng.integers(0, 1000, n) for dim in DIMS}
 
 
-def _build_delta(data, num_shards=None, backend=None):
+def _build_delta(data):
     return DeltaBufferedFlood(
-        GridLayout(DIMS, (4, 3)),
-        merge_threshold=None,
-        num_shards=num_shards,
-        backend=backend,
-        min_parallel_points=0 if num_shards is not None else None,
+        GridLayout(DIMS, (4, 3)), merge_threshold=None
     ).build(Table(data))
 
 
@@ -62,7 +54,6 @@ def _run_with_server(delta, scenario, **server_kwargs):
             return await asyncio.wait_for(scenario(server, host, port), timeout=60)
         finally:
             await server.stop()
-            delta.shutdown()
 
     return asyncio.run(main())
 
@@ -229,12 +220,11 @@ class TestWireInserts:
 class TestConcurrentMutateQuery:
     """The acceptance criterion: pipelined inserts from one client while
     another queries, across an automatic off-loop merge, end-to-end equal
-    to a rebuilt-from-scratch oracle — for every scan backend."""
+    to a rebuilt-from-scratch oracle."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_concurrent_inserts_and_queries_match_oracle(self, backend):
+    def test_concurrent_inserts_and_queries_match_oracle(self):
         data = _make_data(3000, seed=30)
-        delta = _build_delta(data, num_shards=2, backend=backend)
+        delta = _build_delta(data)
         rng = np.random.default_rng(31)
         rows = [
             {dim: int(rng.integers(0, 1000)) for dim in DIMS} for _ in range(45)
@@ -291,81 +281,41 @@ class TestConcurrentMutateQuery:
             delta.table.num_rows + delta.buffered_rows == 3000 + len(rows)
         )
 
-    def test_process_backend_retires_superseded_segments(self):
-        """Each merge rebuilds the table; the superseded inner index's
-        shared-memory segments must be unlinked, not accumulated."""
-        data = _make_data(2500, seed=32)
-
-        with shm_leak_sanitizer() as probe:
-            delta = _build_delta(data, num_shards=2, backend="process")
-
-            async def scenario(server, host, port):
-                client = await AsyncFloodClient().connect(host, port)
-                # Resolve the backend (first parallel scan creates the pool).
-                await client.query({"x": [0, 1000]})
-                assert probe.created()  # segments exist while serving
-                segments_before = len(owned_segment_names())
-                for i in range(25):
-                    await client.insert({"x": i, "y": i, "z": i})
-                await client.merge()
-                count, _ = await client.query({"x": [0, 1000]})
-                await server.mutable.drain()
-                segments_after = len(owned_segment_names())
-                await client.close()
-                return segments_before, segments_after, count
-
-            segments_before, segments_after, count = _run_with_server(
-                delta, scenario, merge_threshold=0
-            )
-            assert count == 2525
-            # The new table's segments replaced the old ones 1:1 (the old
-            # pool's segments were unlinked after the swap).
-            assert segments_after == segments_before
-        # Leaving the sanitizer proves _run_with_server's delta.shutdown()
-        # released every segment this test created.
-
-    def test_failed_commit_retires_superseded_backend(self):
-        """Regression for the resource-release finding in
-        MutableController._run_maintenance: a maintenance job that fails
-        *after* the swap committed used to leak the superseded inner
-        index's worker pool and shared-memory segments — the error path
-        only counted the failure. Retirement must run on every exit edge."""
+    def test_post_commit_failure_counted_once_swap_stays_visible(self):
+        """A maintenance job that fails *after* its swap committed counts
+        one failure, and the committed index keeps serving the merged
+        rows."""
         data = _make_data(2000, seed=33)
+        delta = _build_delta(data)
 
-        with shm_leak_sanitizer() as probe:
-            delta = _build_delta(data, num_shards=2, backend="process")
+        async def scenario(server, host, port):
+            client = await AsyncFloodClient().connect(host, port)
+            for i in range(10):
+                await client.insert({"x": i, "y": i, "z": i})
+            batcher = server.mutable.batcher
+            real_submit_write = batcher.submit_write
 
-            async def scenario(server, host, port):
-                client = await AsyncFloodClient().connect(host, port)
-                await client.query({"x": [0, 1000]})  # resolve the pool
-                assert probe.created()
-                for i in range(10):
-                    await client.insert({"x": i, "y": i, "z": i})
-                batcher = server.mutable.batcher
-                real_submit_write = batcher.submit_write
+            async def poisoned(fn):
+                # The commit itself lands; the failure hits the
+                # maintenance task on its way out.
+                await real_submit_write(fn)
+                raise RuntimeError("post-commit failure")
 
-                async def poisoned(fn):
-                    # The commit itself lands; the failure hits the
-                    # maintenance task on its way out.
-                    await real_submit_write(fn)
-                    raise RuntimeError("post-commit failure")
+            batcher.submit_write = poisoned
+            try:
+                await client.merge()
+                await server.mutable.drain()
+            finally:
+                batcher.submit_write = real_submit_write
+            count, _ = await client.query({"x": [0, 1000]})
+            failures = server.mutable.maintenance_failures
+            await client.close()
+            return failures, count
 
-                batcher.submit_write = poisoned
-                try:
-                    await client.merge()
-                    await server.mutable.drain()
-                finally:
-                    batcher.submit_write = real_submit_write
-                count, _ = await client.query({"x": [0, 1000]})
-                failures = server.mutable.maintenance_failures
-                await client.close()
-                return failures, count
-
-            failures, count = _run_with_server(delta, scenario, merge_threshold=0)
-            assert failures == 1
-            assert count == 2010  # the swap committed before the failure
-        # Sanitizer exit: the pre-merge backend's segments were retired on
-        # the failure edge, and shutdown released the committed index's.
+        failures, count = _run_with_server(delta, scenario, merge_threshold=0)
+        assert failures == 1
+        assert count == 2010  # the swap committed before the failure
+        assert delta.merges == 1 and delta.buffered_rows == 0
 
 
 class TestMidMergeResponsiveness:

@@ -19,7 +19,9 @@ import subprocess
 import sys
 import threading
 
-from repro.serve.client import FloodClient
+import pytest
+
+from repro.serve.client import FloodClient, ServerError
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -183,6 +185,43 @@ class TestKill9Recovery:
             proc.wait(timeout=60)
         assert states[0] == states[1]
         assert states[0][2] == 25
+
+
+class TestBadInsertOverTcp:
+    def test_rejected_insert_is_neither_logged_nor_buffered(self, tmp_path):
+        """A non-numeric, an out-of-range, and a list-valued insert each
+        get an error reply; nothing reaches the WAL or the buffer, so the
+        live recount and the post-kill -9 recount both see only the one
+        good row."""
+        data_dir = tmp_path / "state"
+        proc, watchdog, address, banner = _spawn(data_dir, merge_threshold=0)
+        try:
+            assert address, f"no address; output: {banner}"
+            with FloodClient(*address, timeout=60) as client:
+                client.insert(_sentinel_row(0))
+                for i, bad in enumerate(("abc", 1e300, [1, 2]), start=1):
+                    with pytest.raises(ServerError):
+                        client.insert(dict(_sentinel_row(i), quantity=bad))
+                assert _sentinel_count(client) == 1
+                durability = client.server_stats()["mutable"]["durability"]
+                assert durability["rows_logged"] == 1
+        finally:
+            watchdog.cancel()
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+
+        proc2, watchdog2, address2, banner2 = _spawn(data_dir, merge_threshold=0)
+        try:
+            assert address2, f"no restart address; output: {banner2}"
+            with FloodClient(*address2, timeout=60) as client:
+                assert _sentinel_count(client) == 1
+                client.shutdown()
+            assert proc2.wait(timeout=60) == 0
+        finally:
+            watchdog2.cancel()
+            if proc2.poll() is None:
+                proc2.kill()
+                proc2.wait()
 
 
 class TestGroupCommitKill9:

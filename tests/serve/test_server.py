@@ -243,7 +243,10 @@ class TestServerRoundtrip:
             await client.close()
             return results
 
-        results = _run_with_server(sharded, scenario)
+        try:
+            results = _run_with_server(sharded, scenario)
+        finally:
+            sharded.shutdown()
         for query, (got, _) in zip(queries, results):
             assert got == _count(plain, query)
 

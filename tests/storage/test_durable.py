@@ -73,6 +73,40 @@ class TestProtocol:
         with pytest.raises(DurabilityError):
             index.insert({"x": 1, "y": 2})
 
+    @pytest.mark.parametrize(
+        "op, payload",
+        [
+            ("insert", {"x": 1, "y": "abc"}),
+            ("insert", {"x": 1e300, "y": 2}),
+            ("insert", {"x": [1, 2], "y": 5}),
+            ("insert_many", {"x": [1, 2], "y": [3, float("nan")]}),
+        ],
+        ids=["non-numeric", "out-of-range", "list-valued", "batch-non-finite"],
+    )
+    def test_bad_values_touch_neither_wal_nor_buffer(self, tmp_path, op, payload):
+        index = _build(tmp_path)
+        index.insert({"x": 50, "y": 50})
+        base = _count(index)
+        stats = index.durability_stats()
+        generation = index.generation
+        with pytest.raises(SchemaError):
+            getattr(index, op)(payload)
+        after = index.durability_stats()
+        assert after["rows_logged"] == stats["rows_logged"]
+        assert after["wal_records"] == stats["wal_records"]
+        assert index.generation == generation
+        assert index.buffered_rows == 1
+        assert _count(index) == base
+        index.close()  # crash-equivalent: the reopen replays the WAL
+
+        reopened = DurableDeltaFlood.open(str(tmp_path), merge_threshold=None)
+        assert reopened.recovered_rows == 1
+        assert _count(reopened) == base
+        reopened.merge()
+        assert _count(reopened) == base
+        assert reopened.table.values("x").min() >= 0
+        reopened.shutdown()
+
 
 class TestRecovery:
     def test_warm_recovery_replays_the_wal_tail(self, tmp_path):

@@ -13,8 +13,8 @@ against the classic path: property tests over random tables, runs and
 bounds — including empty runs, all-pass/all-fail residual masks,
 NaN-bearing float columns, bounds past the int64 range, and both the
 gather and the slice decode) and at the index level against the seed's
-``query_percell``, with the scan path pinned per test and across the
-thread/process backends.
+``query_percell``, with the scan path pinned per test and through the
+sharded index's worker processes.
 
 Float SUM/AVG are the one documented exception: the kernel accumulates
 sequentially where numpy sums pairwise per run, so they agree to ~1e-9
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.storage.kernels as kernels
-from repro.core.backends import ProcessBackend, ThreadBackend
 from repro.core.index import FloodIndex
 from repro.core.layout import GridLayout
 from repro.core.shard import ShardedFloodIndex
@@ -530,42 +529,13 @@ def test_index_huge_int_bound_matches_brute_force(kernel_table, ranges, monkeypa
     assert visitor.result == int(query.match_mask(index.table).sum())
 
 
-# ------------------------------------------------------ backend identity
-@pytest.mark.parametrize("tier", TIERS)
-def test_thread_backend_kernel_identity(tier, monkeypatch):
-    _pin_scan_path(monkeypatch, tier)
-    table = make_table(n=6000, dims=DIMS, seed=31)
-    flood = FloodIndex(GridLayout(DIMS, (6, 5))).build(table)
-    sharded = ShardedFloodIndex.wrap(
-        flood, num_shards=4, min_parallel_points=0, backend=ThreadBackend()
-    )
-    rng = np.random.default_rng(4)
-    for _ in range(6):
-        query = random_query(table, rng)
-        for visitor in (CountVisitor(), SumVisitor("z"), CollectVisitor()):
-            reference = visitor.fresh()
-            stats = sharded.query(query, visitor)
-            flood.query_percell(query, reference)
-            if tier == "fused":
-                assert stats.kernel_groups >= 1
-            else:
-                assert stats.kernel_groups == 0
-            result = visitor.result
-            expected = reference.result
-            if isinstance(result, np.ndarray):
-                result, expected = np.sort(result), np.sort(expected)
-            assert _results_equal(result, expected)
-
-
+# ------------------------------------------------ process fan-out identity
 def test_process_backend_kernel_identity():
     # Workers pick their scan path from their own platform, like serving.
     table = make_table(n=6000, dims=DIMS, seed=37)
     flood = FloodIndex(GridLayout(DIMS, (6, 5))).build(table)
-    backend = ProcessBackend(flood.table, workers=2)
+    sharded = ShardedFloodIndex.wrap(flood, num_shards=4, min_parallel_points=0)
     try:
-        sharded = ShardedFloodIndex.wrap(
-            flood, num_shards=4, min_parallel_points=0, backend=backend
-        )
         rng = np.random.default_rng(6)
         for _ in range(4):
             query = random_query(table, rng)
@@ -581,7 +551,7 @@ def test_process_backend_kernel_identity():
                     result, expected = np.sort(result), np.sort(expected)
                 assert _results_equal(result, expected)
     finally:
-        backend.shutdown()
+        sharded.shutdown()
 
 
 # --------------------------------------------------- warm-up + stats block

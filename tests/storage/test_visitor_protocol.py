@@ -9,7 +9,7 @@ Three regressions pinned here:
   required constructor args that forgot to override (``MinVisitor`` /
   ``MaxVisitor`` did exactly that);
 - the mergeable protocol must agree exactly with a single-visitor scan,
-  since the scan backends rely on it for partial-aggregate shipping.
+  since sharded scans rely on it for partial-aggregate shipping.
 """
 
 import numpy as np
@@ -228,7 +228,7 @@ class TestMergeableProtocol:
     def test_fresh_constructs_the_subclass(self):
         """Regression: fresh() must build type(self), not the base class —
         otherwise a subclass of a built-in visitor silently computes the
-        base aggregate when a parallel backend scans into fresh() copies."""
+        base aggregate when a sharded scan fills fresh() copies."""
 
         class DoubleCount(CountVisitor):
             def visit(self, table, start, stop, mask):

@@ -104,3 +104,20 @@ class TestServeFleetFlags:
             main(["serve", "--index", "delta", "--group-commit"]) == 2
         )
         assert "--data-dir" in capsys.readouterr().err
+
+
+class TestServeShardFlags:
+    def test_serve_is_unsharded_by_default(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.shards == 1
+        assert not hasattr(args, "backend")
+
+    def test_backend_flag_is_gone(self):
+        for command in ("serve", "throughput"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "thread"])
+
+    def test_sharded_delta_rejected(self, capsys):
+        assert main(["serve", "--index", "delta", "--shards", "2"]) == 2
+        assert "--shards needs --index flood" in capsys.readouterr().err
+        assert main(["serve", "--index", "delta", "--shards", "0"]) == 2
