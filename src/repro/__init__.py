@@ -12,7 +12,7 @@ the paper's evaluation.
 Quick start::
 
     from repro import FloodIndex, Query, CountVisitor
-    from repro.bench.harness import build_flood
+    from repro.core.calibration import build_flood
     from repro.datasets import load
 
     bundle = load("tpch", n=100_000)

@@ -16,7 +16,6 @@ the same scan kernel and visitor model, mirroring the paper's methodology.
 - :class:`RStarTreeIndex` -- bulk-loaded (STR) read-optimized R-tree.
 """
 
-from repro.baselines.base import BaseIndex
 from repro.baselines.clustered import ClusteredIndex
 from repro.baselines.full_scan import FullScanIndex
 from repro.baselines.grid_file import GridFileIndex
@@ -26,6 +25,7 @@ from repro.baselines.rstar import RStarTreeIndex
 from repro.baselines.simple_grid import SimpleGridIndex
 from repro.baselines.ub_tree import UBTreeIndex
 from repro.baselines.zorder import ZOrderIndex
+from repro.query.base import BaseIndex
 
 __all__ = [
     "BaseIndex",

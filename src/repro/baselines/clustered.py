@@ -8,9 +8,9 @@ a full scan.
 
 from __future__ import annotations
 
-from repro.baselines.base import BaseIndex, timed
 from repro.errors import SchemaError
 from repro.ml.rmi import RecursiveModelIndex
+from repro.query.base import BaseIndex, timed
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.scan import scan_range

@@ -3,7 +3,7 @@ in the query filter are accessed (paper Section 7.2, baseline 1)."""
 
 from __future__ import annotations
 
-from repro.baselines.base import BaseIndex, timed
+from repro.query.base import BaseIndex, timed
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.scan import scan_range

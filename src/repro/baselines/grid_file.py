@@ -23,8 +23,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.baselines.base import BaseIndex, timed
 from repro.errors import BuildError, SchemaError
+from repro.query.base import BaseIndex, timed
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.scan import scan_range

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaseIndex, timed
 from repro.errors import SchemaError
+from repro.query.base import BaseIndex, timed
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.scan import scan_range

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaseIndex, timed
 from repro.baselines.zcurve import ZEncoder
 from repro.errors import SchemaError
+from repro.query.base import BaseIndex, timed
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats
 from repro.storage.scan import scan_range

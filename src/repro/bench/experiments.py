@@ -641,7 +641,12 @@ def fig17_percell(n: int = 100_000, num_probes: int = 2_000,
 # ------------------------------------------------------------- extra ablations
 def ablation_refinement() -> str:
     """Beyond the paper: PLM refinement vs binary search vs none inside
-    Flood (DESIGN.md design-choice check)."""
+    Flood (DESIGN.md design-choice check).
+
+    The ``binary`` row is the default refinement, which includes the
+    priced choice between key probes and the rank order per query
+    (:meth:`FloodIndex.refine_plan`); the ``plm`` row always probes.
+    """
     bundle = get_bundle("tpch", seed=50)
     result = find_optimal_layout(
         bundle.table, bundle.train, AnalyticCostModel(),

@@ -350,7 +350,7 @@ def _cmd_demo(args) -> int:
     import time
 
     from repro.baselines import FullScanIndex
-    from repro.bench.harness import build_flood
+    from repro.core.calibration import build_flood
     from repro.datasets import load
     from repro.storage.visitor import CountVisitor
 
@@ -382,7 +382,7 @@ def _cmd_bench(args) -> int:
 def _cmd_throughput(args) -> int:
     import time
 
-    from repro.bench.harness import build_flood
+    from repro.core.calibration import build_flood
     from repro.core.engine import BatchQueryEngine
     from repro.datasets import load
     from repro.storage.kernels import resolve_kernel
@@ -440,7 +440,7 @@ def _cmd_throughput(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.bench.harness import default_cost_model
+    from repro.core.calibration import default_cost_model
     from repro.core.engine import BatchQueryEngine
     from repro.core.index import FloodIndex
     from repro.core.optimizer import find_optimal_layout
@@ -703,7 +703,7 @@ def _cmd_calibrate(_args) -> int:
     import os
     import time
 
-    from repro.bench.harness import _model_cache_path, default_cost_model
+    from repro.core.calibration import _model_cache_path, default_cost_model
 
     path = _model_cache_path(0)
     if os.path.exists(path):

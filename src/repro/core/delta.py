@@ -323,7 +323,7 @@ class DeltaBufferedFlood:
         from repro.core.optimizer import find_optimal_layout
 
         if cost_model is None:
-            from repro.bench.harness import default_cost_model
+            from repro.core.calibration import default_cost_model
 
             cost_model = default_cost_model()
         start = time.perf_counter()

@@ -19,9 +19,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from repro.baselines.base import timed
 from repro.core.protocol import require_queryable
 from repro.errors import QueryError
+from repro.query.base import timed
 from repro.query.stats import QueryStats, WorkloadResult
 from repro.storage.visitor import CountVisitor, Visitor
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.bench.harness import build_flood
+from repro.core.calibration import build_flood
 from repro.core.cost import CostModel
 from repro.query.predicate import Query
 from repro.query.stats import QueryStats

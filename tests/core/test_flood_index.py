@@ -284,3 +284,76 @@ class TestPlanRefineProperty:
         assert plan.cells_enumerated == reference.cells_visited
         for attr in ("points_scanned", "points_matched", "exact_points"):
             assert getattr(stats, attr) == getattr(reference, attr), attr
+
+
+#: Sort-dimension bounds of the identity property: data-relative shapes of
+#: ``_shaped_range`` plus bounds far outside any data.
+_SORT_SHAPES = _RANGE_SHAPES[1:] + ("huge", "tiny", "all")
+
+
+class TestRankRefinementIdentity:
+    """Both exact refinements, forced on the same plan, give equal arrays."""
+
+    def test_rank_permutation_orders_rows_by_rank(self):
+        index = _flood(make_table(n=900, seed=1))
+        values = index.table.values("z")
+        assert np.array_equal(index._sort_unique, np.unique(values))
+        ranks = np.searchsorted(index._sort_unique, values)
+        rows = np.arange(900)
+        assert index._by_rank.dtype == np.int32
+        assert np.array_equal(index._by_rank, np.lexsort((rows, ranks)))
+        assert np.array_equal(
+            index._rank_starts, np.concatenate(([0], np.cumsum(np.bincount(ranks))))
+        )
+        assert index.size_bytes() - index._refine_key.nbytes > index._by_rank.nbytes
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        columns=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        flatten=st.sampled_from(["rmi", "quantile", "none"]),
+        float_sort=st.booleans(),
+        grid_shapes=st.lists(st.sampled_from(_RANGE_SHAPES), min_size=2, max_size=2),
+        sort_shape=st.sampled_from(_SORT_SHAPES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_key_and_rank_refinements_agree(
+        self, n, columns, flatten, float_sort, grid_shapes, sort_shape, seed
+    ):
+        import copy
+
+        from repro.storage.table import Table
+
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(mean=4, sigma=1.2, size=n).astype(np.int64)
+        y = x + rng.integers(0, 40, size=n)
+        if float_sort:
+            z = rng.normal(500.0, 200.0, size=n)
+        else:
+            z = rng.integers(0, 8, size=n)  # duplicate-heavy
+        table = Table({"x": x, "y": y, "z": z})
+        index = FloodIndex(GridLayout(DIMS, columns), flatten=flatten).build(table)
+        ranges = {
+            dim: _shaped_range(shape, table.values(dim), rng)
+            for dim, shape in zip(("x", "y"), grid_shapes)
+            if shape != "skip"
+        }
+        if sort_shape == "huge":
+            ranges["z"] = (int(1e299), int(1e300))
+        elif sort_shape == "tiny":
+            ranges["z"] = (int(-1e300), int(-1e299))
+        elif sort_shape == "all":
+            ranges["z"] = (-(10**12), 10**12)
+        else:
+            ranges["z"] = _shaped_range(sort_shape, z, rng)
+        plan = index.plan(Query(ranges))
+        assert plan.refine
+        rank_lo, rank_hi = index._rank_range(plan)
+        by_key, by_rank = copy.copy(plan), copy.copy(plan)
+        index._refine_by_key(by_key, rank_lo, rank_hi)
+        index._refine_by_rank(by_rank, rank_lo, rank_hi)
+        for attr in ("cells", "starts", "stops", "codes"):
+            expected, actual = getattr(by_key, attr), getattr(by_rank, attr)
+            assert np.array_equal(expected, actual), attr
+            assert expected.dtype == actual.dtype, attr
+        assert by_key.coalesced_runs() == by_rank.coalesced_runs()
