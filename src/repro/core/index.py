@@ -70,6 +70,15 @@ _RANK_ROW_NS = 40
 _KEY_CELL_NS = 150
 
 
+def _non_nan_prefix(ordered: np.ndarray) -> int:
+    """Length of the NaN-free prefix of an ascending array (NaN sorts
+    last). NaN matches no range, yet ``searchsorted`` with a bound past
+    the float range can land beyond the NaN entries."""
+    if ordered.size and ordered[-1] != ordered[-1]:
+        return int(np.searchsorted(ordered, np.nan, "left"))
+    return ordered.size
+
+
 class QueryPlan:
     """Vectorized projection result: intersecting cells + residual checks.
 
@@ -147,10 +156,9 @@ class QueryPlan:
         breaks = (starts[1:] != stops[:-1]) | (codes[1:] != codes[:-1])
         first = np.concatenate(([0], np.nonzero(breaks)[0] + 1))
         last = np.concatenate((first[1:] - 1, [m - 1]))
-        return [
-            (int(starts[f]), int(stops[l]), int(codes[f]))
-            for f, l in zip(first, last)
-        ]
+        return list(
+            zip(starts[first].tolist(), stops[last].tolist(), codes[first].tolist())
+        )
 
 
 class FloodIndex(BaseIndex):
@@ -525,11 +533,12 @@ class FloodIndex(BaseIndex):
     def _rank_range(self, plan: QueryPlan) -> tuple[int, int]:
         """Ranks ``[lo, hi)`` of the distinct sort values in the plan's
         sort range: those below ``sort_low`` and those at most
-        ``sort_high``."""
+        ``sort_high``, capped at the non-NaN values."""
         unique = self._sort_unique
+        valid = _non_nan_prefix(unique)
         return (
-            int(np.searchsorted(unique, plan.sort_low, "left")),
-            int(np.searchsorted(unique, plan.sort_high, "right")),
+            min(int(np.searchsorted(unique, plan.sort_low, "left")), valid),
+            min(int(np.searchsorted(unique, plan.sort_high, "right")), valid),
         )
 
     def _prefers_rank(self, num_cells: int, rank_lo: int, rank_hi: int) -> bool:
@@ -821,8 +830,9 @@ class FloodIndex(BaseIndex):
             model = self._cell_models[cell]
             return start + model.search_left(low), start + model.search_right(high)
         section = self._table.values(self.layout.sort_dim, start, stop)
-        i1 = int(np.searchsorted(section, low, side="left"))
-        i2 = int(np.searchsorted(section, high, side="right"))
+        valid = _non_nan_prefix(section)
+        i1 = min(int(np.searchsorted(section, low, side="left")), valid)
+        i2 = min(int(np.searchsorted(section, high, side="right")), valid)
         return start + i1, start + i2
 
     # ------------------------------------------------------------------- size

@@ -1,14 +1,16 @@
 """Fused scan kernels: residual filter + aggregate in one compiled pass.
 
-The per-run scan path (:func:`repro.storage.scan.scan_runs`) pays numpy
-temporaries and Python-level visitor dispatch on every run: build a
-boolean residual mask, slice it per run, gather matching rows, then feed
-a visitor method call per run. For the aggregates that dominate the
-paper's workloads (COUNT/SUM/AVG/MIN/MAX, plus row collection) the whole
-batch of coalesced runs sharing one residual filter can instead be
-answered in a *single fused pass*: decode each filter dimension once
-across all runs, check bounds and fold the aggregate in the same loop,
-and touch the visitor exactly once with the finished partial.
+The classic scan path (:func:`repro.storage.scan.scan_runs`) builds a
+boolean residual mask per run (on the compressed columns' delta codes
+where runs are long), turns it into matching row ids, and feeds the
+built-in visitors one ``take`` of the aggregate column per run group.
+For the aggregates that dominate the paper's workloads
+(COUNT/SUM/AVG/MIN/MAX, plus row collection) the whole batch of
+coalesced runs sharing one residual filter can instead be answered in a
+*single fused pass*: decode each filter dimension once across all runs,
+check bounds and fold the aggregate in the same loop, with no mask or
+row-id arrays, and touch the visitor exactly once with the finished
+partial.
 
 The kernels are ``@numba.njit(nogil=True, cache=True)`` loops compiled
 per dtype signature. ``nogil`` means engine worker threads scale: their
@@ -27,10 +29,10 @@ for the exact built-in mergeable visitor types (subclasses fall back —
 they may override ``visit``), only for int64/float64 columns, and only
 when the residual filter is non-empty (exact runs keep the cumulative
 fast path). Anything else returns ``None`` and the caller runs the
-classic per-run path — the fallback guarantee is structural, not a mode.
+classic path — the fallback guarantee is structural, not a mode.
 
 Float caveat: SUM/AVG over float64 accumulate in one sequential loop
-here and pairwise per run in numpy, so float sums agree with the classic
+here and pairwise in numpy, so float sums agree with the classic
 path to ~1e-9 relative tolerance rather than bit-for-bit;
 COUNT/MIN/MAX/collect and all-int64 aggregates are bit-identical. MIN/MAX
 over a match set containing NaN is NaN on both paths (numpy semantics).
@@ -313,7 +315,7 @@ class ScanKernel:
         Returns ``(points_scanned, points_matched)`` with the visitor
         already fed the finished partial aggregate, or ``None`` when the
         combination is not fusable (caller falls back to the classic
-        per-run path). ``bounds`` must be non-empty — exact runs are the
+        path). ``bounds`` must be non-empty — exact runs are the
         cumulative-aggregate path's business, not ours.
 
         Decode strategy is ``scan_runs``'s (:func:`gather_runs`): many

@@ -1,8 +1,10 @@
 """The scan-and-filter kernel shared by every index.
 
 ``scan_range`` scans one physical range of the clustered table, checks each
-row against the residual filter, and feeds the visitor. Two paper
-optimizations live here:
+row against the residual filter, and feeds the visitor. Every residual
+mask, here and in the baselines, comes from :func:`residual_mask`, which
+compares compressed columns on their block-delta codes (paper Section
+7.1) rather than decoding them. Two paper optimizations live here:
 
 - **Exact ranges** (Section 7.1, optimization 1): when the caller guarantees
   every row in the range matches (``exact=True``), per-value checks are
@@ -13,6 +15,10 @@ optimizations live here:
   rectangle on some dimension) are excluded from the residual filter,
   reducing per-point work — this is why Flood's "time per scanned point" is
   lower than the baselines' in Table 2.
+
+``scan_runs`` scans one code group of a Flood plan. The built-in
+aggregates take the whole group in one ``visit_rows`` call; other
+visitors get one ``visit`` per run that matched.
 """
 
 from __future__ import annotations
@@ -22,7 +28,43 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.storage.table import Table
-from repro.storage.visitor import Visitor
+from repro.storage.visitor import (
+    AvgVisitor,
+    CollectVisitor,
+    CountVisitor,
+    MaxVisitor,
+    MinVisitor,
+    SumVisitor,
+    Visitor,
+)
+
+
+def residual_mask(
+    table: Table,
+    bounds: list[tuple[str, int, int]],
+    start: int,
+    stop: int,
+    indices: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows passing every ``(dim, low, high)`` of the non-empty ``bounds``.
+
+    The mask covers rows ``[start, stop)``, or the row ids ``indices``
+    when given. Contiguous rows go through :meth:`Table.range_mask`,
+    which compares compressed columns on their delta codes; gathered
+    rows compare values decoded with one ``take`` per dimension.
+    """
+    mask = None
+    for dim, low, high in bounds:
+        if indices is None:
+            dim_mask = table.range_mask(dim, start, stop, low, high)
+        else:
+            values = table.take(dim, indices)
+            dim_mask = (values >= low) & (values <= high)
+        if mask is None:
+            mask = dim_mask
+        else:
+            mask &= dim_mask
+    return mask
 
 
 def scan_range(
@@ -59,22 +101,14 @@ def scan_range(
         visitor.visit(table, start, stop, None)
         return scanned, scanned
     applicable = [
-        (dim, bounds)
-        for dim, bounds in ranges.items()
+        (dim, low, high)
+        for dim, (low, high) in ranges.items()
         if dim in table and dim not in skip_dims
     ]
     if not applicable:
         visitor.visit(table, start, stop, None)
         return scanned, scanned
-    mask = None
-    for dim, (low, high) in applicable:
-        values = table.values(dim, start, stop)
-        dim_mask = (values >= low) & (values <= high)
-        mask = dim_mask if mask is None else (mask & dim_mask)
-    matched = int(np.count_nonzero(mask))
-    if matched:
-        visitor.visit(table, start, stop, mask)
-    return scanned, matched
+    return scan_filtered(table, applicable, start, stop, visitor)
 
 
 def scan_filtered(
@@ -91,11 +125,7 @@ def scan_filtered(
     job. Flood's per-cell scan path uses this to avoid re-deriving the
     residual filter for every cell.
     """
-    mask = None
-    for dim, low, high in bounds:
-        values = table.values(dim, start, stop)
-        dim_mask = (values >= low) & (values <= high)
-        mask = dim_mask if mask is None else (mask & dim_mask)
+    mask = residual_mask(table, bounds, start, stop)
     matched = int(np.count_nonzero(mask))
     if matched:
         visitor.visit(table, start, stop, mask)
@@ -178,6 +208,27 @@ def gather_runs(
     return indices, offsets
 
 
+#: Built-in visitors fed one ``visit_rows`` call per run group. Matched
+#: by exact type, like the fused kernels: a subclass may override
+#: ``visit`` and must see every call.
+_GROUP_VISITORS = frozenset(
+    {CountVisitor, SumVisitor, AvgVisitor, MinVisitor, MaxVisitor, CollectVisitor}
+)
+
+
+def _reads_rows(visitor: Visitor, table: Table) -> bool:
+    """Whether a group visitor's per-run ``visit`` on an exact run reads
+    row values: not COUNT (a run's length is its count), nor a SUM or AVG
+    that the table's prefix column answers per run in O(1)."""
+    kind = type(visitor)
+    if kind is CountVisitor:
+        return False
+    if kind in (SumVisitor, AvgVisitor):
+        sums = visitor._sum if kind is AvgVisitor else visitor
+        return not (sums.use_cumulative and table.has_cumulative(sums.dim))
+    return True
+
+
 def scan_runs(
     table: Table,
     bounds: list[tuple[str, int, int]],
@@ -192,7 +243,16 @@ def scan_runs(
     Flood query path after coalescing storage-adjacent cells. When
     :func:`gather_runs` says so, all runs are decoded with one gather per
     filter dimension and masked in a single vectorized pass, instead of
-    one slice decode per run per dimension.
+    one mask per run.
+
+    The built-in visitors (exact types) see the group once, through
+    ``visit_rows`` with the ascending ids of every matching row: one
+    ``take`` of the aggregate column replaces a slice decode per run. A
+    gathered group, exact or masked, passes its gathered row ids; long
+    masked runs pass only their matched rows. COUNT keeps the per-run
+    loop where that costs no decode (long runs, exact runs), and so does
+    a SUM or AVG answered from a prefix column. Any other visitor gets one
+    ``visit`` per run that matched.
 
     Parameters
     ----------
@@ -207,7 +267,7 @@ def scan_runs(
         ``(start, stop)`` physical ranges in storage order; zero-length
         runs are tolerated.
     visitor:
-        Aggregation visitor fed each run that has at least one match.
+        Aggregation visitor fed the matching rows.
     kernel:
         Optional fused-scan kernel
         (:class:`repro.storage.kernels.ScanKernel`, as returned by
@@ -223,9 +283,15 @@ def scan_runs(
     -------
     Aggregate ``(points_scanned, points_matched)`` over all runs.
     """
-    scanned = 0
-    matched = 0
+    grouped = type(visitor) in _GROUP_VISITORS
     if not bounds:
+        if grouped and _reads_rows(visitor, table):
+            gathered = gather_runs(runs)
+            if gathered is not None:
+                rows = gathered[0]
+                visitor.visit_rows(table, rows)
+                return rows.size, rows.size
+        scanned = 0
         for start, stop in runs:
             visitor.visit(table, start, stop, None)
             scanned += stop - start
@@ -239,11 +305,12 @@ def scan_runs(
     gathered = gather_runs(runs)
     if gathered is not None:
         indices, offsets = gathered
-        mask = None
-        for dim, low, high in bounds:
-            values = table.take(dim, indices)
-            dim_mask = (values >= low) & (values <= high)
-            mask = dim_mask if mask is None else (mask & dim_mask)
+        mask = residual_mask(table, bounds, 0, 0, indices)
+        if grouped:
+            rows = indices[mask]
+            if rows.size:
+                visitor.visit_rows(table, rows)
+            return indices.size, rows.size
         counts = np.add.reduceat(mask.astype(np.int64), offsets)
         for (start, stop), offset, count in zip(
             runs, offsets.tolist(), counts.tolist()
@@ -251,8 +318,38 @@ def scan_runs(
             if count:
                 visitor.visit(table, start, stop, mask[offset : offset + stop - start])
         return indices.size, int(counts.sum())
+    if grouped and type(visitor) is not CountVisitor:
+        return _scan_matched_rows(table, bounds, runs, visitor)
+    scanned = 0
+    matched = 0
     for start, stop in runs:
         run_scanned, run_matched = scan_filtered(table, bounds, start, stop, visitor)
         scanned += run_scanned
         matched += run_matched
     return scanned, matched
+
+
+def _scan_matched_rows(
+    table: Table,
+    bounds: list[tuple[str, int, int]],
+    runs: list[tuple[int, int]],
+    visitor: Visitor,
+) -> tuple[int, int]:
+    """Mask each run, then feed a group visitor the matched row ids of
+    all runs in one ``visit_rows`` call; rows that fail the filter are
+    never decoded for the aggregate."""
+    scanned = 0
+    pieces = []
+    for start, stop in runs:
+        if stop <= start:
+            continue
+        scanned += stop - start
+        rows = np.flatnonzero(residual_mask(table, bounds, start, stop))
+        if rows.size:
+            rows += start
+            pieces.append(rows)
+    if not pieces:
+        return scanned, 0
+    rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    visitor.visit_rows(table, rows)
+    return scanned, rows.size

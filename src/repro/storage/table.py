@@ -82,6 +82,17 @@ class Table:
             return col.slice(start, stop)
         return col[start:stop]
 
+    def range_mask(self, name: str, start: int, stop: int, low, high) -> np.ndarray:
+        """Mask of rows [start, stop) whose ``name`` value lies in
+        ``[low, high]``; compressed columns compare their delta codes
+        (:meth:`CompressedColumn.range_mask`)."""
+        self._require(name)
+        col = self._columns[name]
+        if isinstance(col, CompressedColumn):
+            return col.range_mask(start, stop, low, high)
+        values = col[start:stop]
+        return (values >= low) & (values <= high)
+
     def take(self, name: str, indices: np.ndarray) -> np.ndarray:
         """Decoded values of ``name`` at arbitrary row positions."""
         self._require(name)

@@ -19,6 +19,13 @@ implement neither are still fully supported — the sharded scan falls
 back to :class:`RecordingVisitor` replay, which works for arbitrary
 visitors.
 
+The built-in aggregates also take a whole run group at once:
+:meth:`CountVisitor.visit_rows` and its siblings consume the ascending
+row ids of a group's matches, so the classic scan
+(:func:`repro.storage.scan.scan_runs`) feeds them one call per group
+instead of one :meth:`Visitor.visit` per run. The scan matches them by
+exact type; a subclass may override ``visit`` and keeps every call.
+
 Aggregates preserve the column dtype: SUM/MIN/MAX accumulate through
 numpy scalars (``.item()``), so float-valued tables (anything duck-typing
 ``Table`` with float columns) aggregate exactly instead of being silently
@@ -144,6 +151,11 @@ class CountVisitor(Visitor):
         else:
             self.count += int(np.count_nonzero(mask))
 
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self.count += rows.size
+
     def fresh(self) -> "CountVisitor":
         return type(self)()
 
@@ -186,6 +198,11 @@ class SumVisitor(Visitor):
             values = table.values(self.dim, start, stop)
             self.total += values[mask].sum().item()
 
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self.total += table.take(self.dim, rows).sum().item()
+
     def fresh(self) -> "SumVisitor":
         return type(self)(self.dim, self.use_cumulative)
 
@@ -213,6 +230,12 @@ class AvgVisitor(Visitor):
     def visit(self, table, start, stop, mask):
         self._sum.visit(table, start, stop, mask)
         self._count.visit(table, start, stop, mask)
+
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self._sum.visit_rows(table, rows)
+        self._count.visit_rows(table, rows)
 
     def fresh(self) -> "AvgVisitor":
         return type(self)(self.dim)
@@ -246,6 +269,11 @@ class MinVisitor(Visitor):
             local = values.min().item()  # dtype-preserving (no int truncation)
             self._min = fold_min(self._min, local)
 
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self._min = fold_min(self._min, table.take(self.dim, rows).min().item())
+
     def fresh(self) -> "MinVisitor":
         return type(self)(self.dim)
 
@@ -275,6 +303,11 @@ class MaxVisitor(Visitor):
         if values.size:
             local = values.max().item()  # dtype-preserving (no int truncation)
             self._max = fold_max(self._max, local)
+
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self._max = fold_max(self._max, table.take(self.dim, rows).max().item())
 
     def fresh(self) -> "MaxVisitor":
         return type(self)(self.dim)
@@ -344,6 +377,11 @@ class CollectVisitor(Visitor):
             self._chunks.append(np.arange(start, stop, dtype=np.int64))
         else:
             self._chunks.append(np.nonzero(mask)[0].astype(np.int64) + start)
+
+    def visit_rows(self, table, rows: np.ndarray) -> None:
+        """Consume the matching rows ``rows`` (ascending int64 row ids, at
+        least one)."""
+        self._chunks.append(rows)
 
     def fresh(self) -> "CollectVisitor":
         return type(self)()

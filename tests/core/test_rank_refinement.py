@@ -162,3 +162,57 @@ class TestCarriedState:
         finally:
             reopened.shutdown()
         assert rank_calls
+
+
+class TestNanSortValues:
+    """NaN sort values sort last among the distinct values and match no
+    range; a sort bound past the float range used to rank beyond them, so
+    the refined plan kept (and counted) every NaN row."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(12)
+        n = 5_000
+        sort = rng.uniform(-100, 100, size=n)
+        sort[rng.choice(n, size=600, replace=False)] = np.nan
+        return Table(
+            {
+                "x": rng.integers(0, 1000, size=n),
+                "y": rng.integers(0, 1000, size=n),
+                "z": sort,
+            }
+        )
+
+    QUERIES = (
+        {"z": (-(10**300), 10**300)},
+        {"z": (0, 10**300)},
+        {"z": (-(10**300), -50)},
+        {"x": (100, 700), "z": (-(10**300), 10**300)},
+        {"z": (-20, 30)},
+    )
+
+    @pytest.mark.parametrize("path", ["key", "rank"])
+    def test_refinement_skips_nan_rows(self, table, path, monkeypatch):
+        prefers_rank = path == "rank"
+        monkeypatch.setattr(
+            FloodIndex, "_prefers_rank", lambda self, *args: prefers_rank
+        )
+        index = FloodIndex(FINE).build(table)
+        calls = []
+        original = FloodIndex._refine_by_rank
+        monkeypatch.setattr(
+            FloodIndex,
+            "_refine_by_rank",
+            lambda self, *args: calls.append(1) or original(self, *args),
+        )
+        for ranges in self.QUERIES:
+            query = Query(ranges)
+            expected = int(query.match_mask(index.table).sum())
+            count = CountVisitor()
+            index.query(query, count)
+            assert count.result == expected, ranges
+            reference = CountVisitor()
+            index.query_percell(query, reference)
+            assert reference.result == expected, ranges
+        assert bool(calls) == prefers_rank
+        assert int(np.isnan(index.table.values("z")).sum()) == 600
