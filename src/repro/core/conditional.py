@@ -182,12 +182,29 @@ class ConditionalFlattener:
             )
         return fitted
 
+    def fit_columns(self, columns) -> None:
+        """The layout's column counts, which the constructor already fitted
+        (:meth:`repro.core.flatten.Flattener.fit_columns` tabulates its
+        edges here); a mismatch raises ``BuildError``."""
+        if len(columns) != len(self.grid_dims):
+            raise BuildError("grid_dims and columns must align")
+        for dim, cols in zip(self.grid_dims, columns):
+            self._check_columns(dim, cols)
+
     def column_range(
         self, dim: str, low: int, high: int, num_columns: int
     ) -> tuple[int, int]:
-        """Sound inclusive column range: the union over predecessor columns."""
+        """Sound inclusive column range: the union over predecessor columns.
+
+        The empirical CDFs are constant below and above the domain, so
+        bounds of any size are clamped to the domain ±1 first, which
+        keeps the answer and the bounds near the column's values.
+        """
         self._check_columns(dim, num_columns)
         cols = self.columns[dim]
+        dom_lo, dom_hi = self._bounds[dim]
+        low = min(max(low, dom_lo - 1), dom_hi + 1)
+        high = min(max(high, dom_lo - 1), dom_hi + 1)
         if dim in self._independent:
             model = self._independent[dim]
             lo_hi = np.clip(

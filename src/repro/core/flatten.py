@@ -14,10 +14,17 @@ Three model kinds are supported:
   (the "+Sort Dim" rung of the Figure 11 ablation).
 
 Monotonicity of the model is what makes query projection sound: the columns
-intersecting ``[lo, hi]`` are exactly ``[col(lo), col(hi)]``.
+intersecting ``[lo, hi]`` are exactly ``[col(lo), col(hi)]``. It also lets
+projection skip the model: query bounds are integers, so once the layout's
+column counts are known (:meth:`Flattener.fit_columns`), each column's
+smallest integer is tabulated and ``col(v)`` is a ``bisect`` on that list.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +33,39 @@ from repro.ml.cdf import EmpiricalCDF
 from repro.ml.rmi import RecursiveModelIndex
 
 _KINDS = ("rmi", "quantile", "none")
+
+#: Integer range the column edges are searched in (widened to cover a
+#: float domain beyond it). The model is constant outside the data, so a
+#: bound clamped into this range keeps its column.
+_EDGE_LO = -(2**63)
+_EDGE_HI = 2**63
+
+
+def column_edges(column, num_columns: int, lo: int, hi: int) -> list[int]:
+    """``edges[j - 1]``: the smallest integer ``v`` in ``[lo, hi]`` with
+    ``column(v) >= j``, or ``hi + 1`` when there is none, for ``j = 1 ..
+    num_columns - 1``; ``column`` must be non-decreasing.
+
+    Divide and conquer: the edges ``[ja, jb]`` are known to lie in ``[a,
+    b]``; one evaluation at the midpoint sends those at most
+    ``column(mid)`` left and the rest right. An edge shares every probe
+    down to where it parts from its neighbours, so ``c`` edges cost about
+    ``64 + c * log2(span / c)`` evaluations, not ``64 * c``.
+    """
+    edges = [hi + 1] * (num_columns - 1)
+    pending = [(lo, hi + 1, 1, num_columns - 1)]
+    while pending:
+        a, b, ja, jb = pending.pop()
+        if ja > jb:
+            continue
+        if a == b:
+            edges[ja - 1 : jb] = [a] * (jb - ja + 1)
+            continue
+        mid = (a + b) // 2
+        col = column(mid)
+        pending.append((a, mid, ja, min(col, jb)))
+        pending.append((mid + 1, b, max(col + 1, ja), jb))
+    return edges
 
 
 class Flattener:
@@ -54,6 +94,8 @@ class Flattener:
         self.dims = list(dims)
         self._models = {}
         self._bounds = {}
+        #: dim -> (lo, hi, edges) once fit_columns ran; see column_range.
+        self._edges: dict[str, tuple[int, int, list[int]]] = {}
         for dim in self.dims:
             values = table.values(dim)
             if sample_rows is not None:
@@ -107,22 +149,58 @@ class Flattener:
         cdf = (value - lo) / span
         return min(max(cdf, 0.0), 1.0)
 
+    def column_scalar(self, dim: str, value, num_columns: int) -> int:
+        """The column of one value: ``floor(CDF(v) * c)``, capped at c-1."""
+        return min(int(self.cdf_scalar(dim, value) * num_columns), num_columns - 1)
+
+    def fit_columns(self, columns) -> None:
+        """Tabulate the integer column edges of every dim for ``columns``
+        columns (aligned with ``dims``); :meth:`column_range` answers from
+        them. ``FloodIndex`` calls this once per build.
+
+        Edges are found on :meth:`column_scalar` itself, so projection
+        gives exactly the model's columns for every integer bound.
+        """
+        if len(columns) != len(self.dims):
+            raise BuildError(f"need {len(self.dims)} column counts, got {len(columns)}")
+        for dim, cols in zip(self.dims, columns):
+            lo, hi = _EDGE_LO, _EDGE_HI
+            dom_lo, dom_hi = self._bounds[dim]
+            # A float domain may reach past int64; inf and NaN do not count.
+            if math.isfinite(dom_lo) and dom_lo < lo:
+                lo = math.floor(dom_lo)
+            if math.isfinite(dom_hi) and dom_hi > hi:
+                hi = math.ceil(dom_hi)
+            column = partial(self.column_scalar, dim, num_columns=cols)
+            edges = column_edges(column, cols, lo, hi)
+            self._edges[dim] = (lo, hi, edges)
+
     def column_range(
         self, dim: str, low: int, high: int, num_columns: int
     ) -> tuple[int, int]:
-        """Inclusive column range intersecting ``[low, high]``.
+        """Inclusive column range intersecting the integer range ``[low,
+        high]``: two ``bisect_right`` calls on the dim's column edges.
 
         Sound because the CDF model is monotone: any value in the range maps
-        into ``[col(low), col(high)]``.
+        into ``[col(low), col(high)]``. Bounds of any size work; they are
+        clamped into the range the edges were searched in, outside of which
+        the model is constant.
         """
-        top = num_columns - 1
-        first = int(self.cdf_scalar(dim, low) * num_columns)
-        last = int(self.cdf_scalar(dim, high) * num_columns)
-        return min(first, top), min(last, top)
+        fitted = self._edges.get(dim)
+        if fitted is None or len(fitted[2]) + 1 != num_columns:
+            raise BuildError(
+                f"{dim!r} has no column edges for {num_columns} columns; "
+                "call fit_columns first"
+            )
+        lo, hi, edges = fitted
+        low = lo if low < lo else hi if low > hi else low
+        high = lo if high < lo else hi if high > hi else high
+        return bisect_right(edges, low), bisect_right(edges, high)
 
     # ------------------------------------------------------------------ size
     def size_bytes(self) -> int:
         total = 16 * len(self.dims)  # per-dim bounds
+        total += sum(8 * len(edges) for _, _, edges in self._edges.values())
         for model in self._models.values():
             if isinstance(model, RecursiveModelIndex):
                 total += model.size_bytes()

@@ -3,10 +3,13 @@
 Build (Sections 3.1 and 5.1): each grid dimension is flattened through its
 CDF model and bucketed into columns; points are ordered by cell id
 (depth-first along the dimension ordering) and, within each cell, by the
-sort dimension. Two arrays serve every query:
+sort dimension. These arrays serve every query:
 
 - the sorted ids of the *non-empty* cells, with each one's column per grid
-  dimension (``cell_starts`` records every cell's physical start);
+  dimension, numbered across dimensions (``cell_starts`` records every
+  cell's physical start);
+- per grid dimension, the smallest integer of every column (the
+  flattener's column edges, tabulated once per build);
 - the *refinement key*, one int64 per row: ``cell << B | rank``, where
   ``rank`` is the row's sort value's position among the distinct sort
   values and ``B`` the bit length of their count. Storage order is
@@ -16,21 +19,28 @@ sort dimension. Two arrays serve every query:
 
 Query (Sections 3.2 and 5.2):
 
-1. **Projection** -- per grid dimension, map the query bounds through the
-   CDF to an inclusive column range. The box's smallest and largest cell
-   ids slice the non-empty cells with one ``searchsorted``; the slice is
-   masked to the box on the inner dimensions. Cost is O(non-empty cells in
-   the id range), not O(cells in the box).
+1. **Projection** -- per grid dimension, map the integer query bounds to
+   an inclusive column range: one ``bisect`` on the column edges, which
+   gives exactly the monotone CDF model's column. The box's smallest and
+   largest cell ids slice the non-empty cells with one ``searchsorted``
+   (an empty slice is an empty plan); one lookup table over the columns
+   masks the slice to the box on the inner dimensions and packs the
+   residual-check codes. Cost is O(non-empty cells in the id range), not
+   O(cells in the box).
 2. **Refinement** -- if the query filters the sort dimension, every
    planned cell's physical range is narrowed to its rows with sort values
    in range. Two exact ways give the same refined plan, and the cheaper
    one by priced cost runs: two ``searchsorted`` calls on the refinement
-   key, probing ``cell << B | rank(bound)`` (cost per planned cell), or
-   the rows in the sort range read off the rank permutation and grouped
-   by cell (cost per row in range; it pays on fine grids whose sort-only
-   queries plan thousands of cells). The paper's per-cell PLMs
-   (``refinement='plm'``) stay for the Figure 17 / refinement ablations:
-   in numpy they lose to binary search on build time, query time and size.
+   key, probing ``cell << B | rank(bound)`` (cost per planned cell, in
+   :meth:`FloodIndex.refine_plan`), or the rows in the sort range read
+   off the rank permutation and grouped by cell (cost per row in range;
+   it pays on fine grids whose sort-only queries plan thousands of
+   cells). Projection prices the two as soon as it knows the cell count
+   and, when the rank order wins, builds the refined plan from those rows
+   without materialising any per-cell array of the unrefined plan. The
+   paper's per-cell PLMs (``refinement='plm'``) stay for the Figure 17 /
+   refinement ablations: in numpy they lose to binary search on build
+   time, query time and size.
 3. **Scan** -- each refined range is scanned; only *boundary* columns of
    filtered grid dimensions need per-point checks (interior columns are
    exact by monotonicity of the CDF), which is why Flood's time per scanned
@@ -79,11 +89,61 @@ def _non_nan_prefix(ordered: np.ndarray) -> int:
     return ordered.size
 
 
+#: Code-table entry of a column outside the query box (above every
+#: boundary bit, which needs one bit per grid dim).
+_OUTSIDE = 1 << 62
+
+
+def _code_table(info, columns):
+    """One code per column of every grid dim, for a plan's cells to look up.
+
+    ``info`` is :meth:`FloodIndex._project`'s per-dim ``(dim, first, last,
+    check_first, check_last)`` and ``columns`` the layout's column counts.
+    Dim ``k``'s columns sit at ``sum(columns[:k]) + col``, the numbering of
+    ``FloodIndex._nonempty_cols``. A column's code is its dim's boundary
+    bit (bit ``K-1-k``) when it needs per-point checks, ``_OUTSIDE``
+    beyond the query box on an inner dim (the cell-id range already bounds
+    the outermost), 0 otherwise; a cell's code is the OR over its dims.
+    Returns ``(lookup, narrowed)``, ``narrowed`` saying whether any column
+    is ``_OUTSIDE``, or None when every code is 0.
+    """
+    lookup = None
+    narrowed = False
+    offset = 0
+    num = len(info)
+    for k, (_, first, last, check_first, check_last) in enumerate(info):
+        inner = k > 0 and (first > 0 or last < columns[k] - 1)
+        if inner or check_first or check_last:
+            if lookup is None:
+                lookup = np.zeros(sum(columns), dtype=np.int64)
+            if inner:
+                lookup[offset : offset + first] = _OUTSIDE
+                lookup[offset + last + 1 : offset + columns[k]] = _OUTSIDE
+                narrowed = True
+            bit = 1 << (num - 1 - k)
+            if check_first:
+                lookup[offset + first] = bit
+            if check_last:
+                lookup[offset + last] = bit
+        offset += columns[k]
+    return None if lookup is None else (lookup, narrowed)
+
+
+def _lookup_codes(lookup: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each cell's code: the OR of ``lookup`` over its column numbers
+    (``columns`` holds one row per grid dim)."""
+    codes = lookup[columns]
+    return codes[0] if codes.shape[0] == 1 else np.bitwise_or.reduce(codes, axis=0)
+
+
 class QueryPlan:
     """Vectorized projection result: intersecting cells + residual checks.
 
     Produced by :meth:`FloodIndex.plan`; arrays are aligned and restricted to
-    non-empty cells in ascending cell-id (= storage) order. ``codes`` packs
+    non-empty cells in ascending cell-id (= storage) order. ``refine`` says
+    whether the ranges still need narrowing on the sort dimension
+    (:meth:`FloodIndex.refine_plan` clears it; a plan refined through the
+    rank permutation comes back with it cleared). ``codes`` packs
     each cell's per-dimension boundary flags into an integer so cells can be
     partitioned by residual-check set without building Python tuples per
     cell; :meth:`checks_for` decodes a code back into dimension names.
@@ -326,6 +386,9 @@ class FloodIndex(BaseIndex):
                 f"{num_cells} cells x {unique.size} distinct sort values "
                 "overflow the 63-bit refinement key"
             )
+        # Projection's column edges, tabulated once per build (never on a
+        # query); their cost grows with the column count.
+        self._flattener.fit_columns(layout.columns)
         counts = np.bincount(cell_ids, minlength=num_cells)
         cell_starts = np.zeros(num_cells + 1, dtype=np.int64)
         np.cumsum(counts, out=cell_starts[1:])
@@ -333,13 +396,14 @@ class FloodIndex(BaseIndex):
         self._table = table
         self._cell_starts = cell_starts
         self._nonempty = nonempty
-        self._nonempty_cols = np.array(
-            [
-                (nonempty // stride) % cols
-                for stride, cols in zip(layout.strides, layout.columns)
-            ],
-            dtype=np.int64,
-        ).reshape(len(layout.columns), nonempty.size)
+        # Column numbers run on across dims (dim k's start at the sum of
+        # the earlier dims' counts), so one lookup table codes them all.
+        offsets = np.cumsum((0,) + layout.columns[:-1], dtype=np.int64)
+        self._nonempty_cols = (
+            nonempty // np.array(layout.strides, dtype=np.int64)[:, None]
+            % np.array(layout.columns, dtype=np.int64)[:, None]
+            + offsets[:, None]
+        )
         ranks = np.empty(n, dtype=np.int64)
         ranks[by_rank] = np.cumsum(first) - 1
         self._sort_unique = unique
@@ -459,50 +523,55 @@ class FloodIndex(BaseIndex):
         residual-check sets are packed into integer codes (one bit per grid
         dim, set on boundary columns that need per-point checks).
         ``cells_enumerated`` is the box's cell count, empty cells included.
+
+        Under ``refinement='binary'``, a sort range whose rows are priced
+        cheaper to read off the rank permutation than to probe per planned
+        cell is refined here, before any per-cell array exists: the plan
+        is built from those rows (:meth:`_plan_by_rank`) and comes back
+        already refined (``refine`` is False, so :meth:`refine_plan` does
+        nothing). Either way the refined plan is the same.
         """
         if self._table is None:
             raise BuildError(f"{self.name} index used before build()")
         layout = self.layout
         info, always_check = self._project(query)
-        sort_filtered = query.filters(layout.sort_dim)
-        refine = sort_filtered and self.refinement != "none"
+        refine = query.filters(layout.sort_dim) and self.refinement != "none"
         sort_low, sort_high = query.bounds(layout.sort_dim)
         base_checks = self._base_checks(query, always_check, refine)
         first_id = last_id = 0
         for (_, first, last, _, _), stride in zip(info, layout.strides):
             first_id += first * stride
             last_id += last * stride
-        lo, hi = np.searchsorted(self._nonempty, (first_id, last_id + 1))
-        cells = self._nonempty[lo:hi]
-        cols = self._nonempty_cols[:, lo:hi]
-        keep = None
-        for k in range(1, len(info)):
-            _, first, last, _, _ = info[k]
-            if first > 0 or last < layout.columns[k] - 1:
-                inside = (cols[k] >= first) & (cols[k] <= last)
-                keep = inside if keep is None else keep & inside
-        if keep is not None:
-            cells = cells[keep]
-            cols = cols[:, keep]
         enumerated = math.prod(last - first + 1 for _, first, last, _, _ in info)
-        codes = np.zeros(cells.size, dtype=np.int64)
-        for k, (_, first, last, check_first, check_last) in enumerate(info):
-            bit = 1 << (len(info) - 1 - k)
-            if check_first:
-                codes[cols[k] == first] |= bit
-            if check_last:
-                codes[cols[k] == last] |= bit
-        return QueryPlan(
-            cells=cells,
-            starts=self._cell_starts[cells],
-            stops=self._cell_starts[cells + 1],
-            codes=codes,
-            base_checks=base_checks,
-            grid_dims=layout.grid_dims,
-            cells_enumerated=enumerated,
-            refine=refine,
-            sort_low=sort_low,
-            sort_high=sort_high,
+
+        def make(cells, starts, stops, codes, refine):
+            return QueryPlan(
+                cells, starts, stops, codes, base_checks, layout.grid_dims,
+                enumerated, refine, sort_low, sort_high,
+            )
+
+        lo, hi = self._nonempty.searchsorted((first_id, last_id + 1)).tolist()
+        if lo == hi:
+            empty = self._nonempty[:0]
+            return make(empty, empty, empty, empty, refine)
+        cells = self._nonempty[lo:hi]
+        codes = None
+        table = _code_table(info, layout.columns)
+        if table is not None:
+            lookup, narrowed = table
+            codes = _lookup_codes(lookup, self._nonempty_cols[:, lo:hi])
+            if narrowed:
+                keep = codes < _OUTSIDE
+                cells, codes = cells[keep], codes[keep]
+        if refine and self.refinement == "binary":
+            ranks = self._rank_first(cells.size, sort_low, sort_high)
+            if ranks is not None:
+                refined = self._plan_by_rank(*ranks, first_id, last_id, table)
+                return make(*refined, False)
+        if codes is None:
+            codes = np.zeros(cells.size, dtype=np.int64)
+        return make(
+            cells, self._cell_starts[cells], self._cell_starts[cells + 1], codes, refine
         )
 
     def refine_plan(self, plan: QueryPlan) -> None:
@@ -513,45 +582,13 @@ class FloodIndex(BaseIndex):
         cell << B | rank_right(high))``, where the ranks count the distinct
         sort values below ``low`` and at most ``high``. Under ``'binary'``
         the whole plan therefore refines with two ``searchsorted`` calls
-        on the key; ``'plm'`` predicts inside each cell first.
-
-        Under ``'binary'``, when the rows in ``[low, high]`` are few next
-        to the planned cells, :meth:`_refine_by_rank` produces the same
-        plan from the rank permutation instead; the choice is priced by
-        ``_RANK_BASE_NS``, ``_RANK_ROW_NS`` and ``_KEY_CELL_NS``.
+        on the key; ``'plm'`` predicts inside each cell first. A plan that
+        :meth:`plan` already refined through the rank permutation has
+        ``refine`` False and is left as it is.
         """
         if not plan.refine or plan.cells.size == 0:
             return
-        rank_lo, rank_hi = self._rank_range(plan)
-        if self.refinement == "binary" and self._prefers_rank(
-            plan.cells.size, rank_lo, rank_hi
-        ):
-            self._refine_by_rank(plan, rank_lo, rank_hi)
-        else:
-            self._refine_by_key(plan, rank_lo, rank_hi)
-
-    def _rank_range(self, plan: QueryPlan) -> tuple[int, int]:
-        """Ranks ``[lo, hi)`` of the distinct sort values in the plan's
-        sort range: those below ``sort_low`` and those at most
-        ``sort_high``, capped at the non-NaN values."""
-        unique = self._sort_unique
-        valid = _non_nan_prefix(unique)
-        return (
-            min(int(np.searchsorted(unique, plan.sort_low, "left")), valid),
-            min(int(np.searchsorted(unique, plan.sort_high, "right")), valid),
-        )
-
-    def _prefers_rank(self, num_cells: int, rank_lo: int, rank_hi: int) -> bool:
-        """Whether the rank path is priced below the key probes for a plan
-        of ``num_cells`` cells and the sort ranks ``[rank_lo, rank_hi)``."""
-        key_ns = num_cells * _KEY_CELL_NS
-        if key_ns <= _RANK_BASE_NS:
-            return False
-        rows = int(self._rank_starts[rank_hi]) - int(self._rank_starts[rank_lo])
-        return _RANK_BASE_NS + rows * _RANK_ROW_NS < key_ns
-
-    def _refine_by_key(self, plan: QueryPlan, rank_lo: int, rank_hi: int) -> None:
-        """Refine by probing ``cell << B | rank`` for every planned cell."""
+        rank_lo, rank_hi = self._rank_range(plan.sort_low, plan.sort_high)
         shifted = plan.cells << self._rank_bits
         low_keys = shifted | rank_lo
         high_keys = shifted | rank_hi
@@ -566,34 +603,72 @@ class FloodIndex(BaseIndex):
         plan.starts = new_starts[keep]
         plan.stops = new_stops[keep]
         plan.codes = plan.codes[keep]
+        plan.refine = False
 
-    def _refine_by_rank(self, plan: QueryPlan, rank_lo: int, rank_hi: int) -> None:
-        """Refine from the rows whose sort ranks lie in ``[rank_lo, rank_hi)``.
+    def _rank_range(self, low, high) -> tuple[int, int]:
+        """Ranks ``[lo, hi)`` of the distinct sort values in ``[low,
+        high]``: those below ``low`` and those at most ``high``, capped at
+        the non-NaN values."""
+        unique = self._sort_unique
+        valid = _non_nan_prefix(unique)
+        return (
+            min(int(unique.searchsorted(low, "left")), valid),
+            min(int(unique.searchsorted(high, "right")), valid),
+        )
+
+    def _rank_first(self, num_cells: int, low, high) -> tuple[int, int] | None:
+        """The sort ranks ``[lo, hi)`` of ``[low, high]`` when reading
+        their rows off the rank permutation is priced below probing the
+        key for ``num_cells`` planned cells, else None."""
+        key_ns = num_cells * _KEY_CELL_NS
+        if key_ns <= _RANK_BASE_NS:
+            return None
+        rank_lo, rank_hi = self._rank_range(low, high)
+        rows = int(self._rank_starts[rank_hi]) - int(self._rank_starts[rank_lo])
+        if _RANK_BASE_NS + rows * _RANK_ROW_NS < key_ns:
+            return rank_lo, rank_hi
+        return None
+
+    def _plan_by_rank(
+        self, rank_lo: int, rank_hi: int, first_id: int, last_id: int, table
+    ):
+        """``(cells, starts, stops, codes)`` of the refined plan, from the
+        rows whose sort ranks lie in ``[rank_lo, rank_hi)``; the box spans
+        cell ids ``[first_id, last_id]`` and ``table`` is the query's
+        :func:`_code_table`.
 
         Those rows, put back in storage order, fall into runs of one cell
         each, and within a cell they are contiguous (cells are sorted by
         sort value), so each run's first and last row bound that cell's
-        refined range. Cells outside the plan are dropped; the result
-        equals :meth:`_refine_by_key`'s.
+        refined range. Cells outside the box are dropped and the codes are
+        computed on the cells left; the arrays equal what
+        :meth:`refine_plan` makes of the unrefined plan.
         """
-        bounds = self._rank_starts
-        rows = np.sort(self._by_rank[bounds[rank_lo] : bounds[rank_hi]])
-        rows = rows.astype(np.int64)
-        if rows.size == 0 or plan.cells.size == 0:
-            plan.cells, plan.starts = plan.cells[:0], plan.starts[:0]
-            plan.stops, plan.codes = plan.stops[:0], plan.codes[:0]
-            return
-        cell_of = self._refine_key[rows] >> self._rank_bits
-        edges = np.flatnonzero(cell_of[1:] != cell_of[:-1]) + 1
-        first = np.concatenate(([0], edges))
-        last = np.concatenate((edges, [rows.size])) - 1
-        cells = cell_of[first]
-        pos = np.minimum(np.searchsorted(plan.cells, cells), plan.cells.size - 1)
-        hit = plan.cells[pos] == cells
-        plan.cells = cells[hit]
-        plan.starts = rows[first[hit]]
-        plan.stops = rows[last[hit]] + 1
-        plan.codes = plan.codes[pos[hit]]
+        begin, end = self._rank_starts[[rank_lo, rank_hi]].tolist()
+        rows = self._by_rank[begin:end].astype(np.int64)
+        rows.sort()
+        if rows.size == 0:
+            return rows, rows, rows, rows
+        cell_of = self._refine_key[rows]
+        cell_of >>= self._rank_bits
+        head = np.empty(rows.size, dtype=bool)
+        head[0] = True
+        np.not_equal(cell_of[1:], cell_of[:-1], out=head[1:])
+        tail = np.empty_like(head)
+        tail[:-1] = head[1:]
+        tail[-1] = True
+        cells, starts, stops = cell_of[head], rows[head], rows[tail] + 1
+        a, b = cells.searchsorted((first_id, last_id + 1)).tolist()
+        cells, starts, stops = cells[a:b], starts[a:b], stops[a:b]
+        if table is None:
+            return cells, starts, stops, np.zeros(cells.size, dtype=np.int64)
+        lookup, narrowed = table
+        columns = self._nonempty_cols[:, self._nonempty.searchsorted(cells)]
+        codes = _lookup_codes(lookup, columns)
+        if narrowed:
+            keep = codes < _OUTSIDE
+            return cells[keep], starts[keep], stops[keep], codes[keep]
+        return cells, starts, stops, codes
 
     def _plm_search_cells(
         self, plan: QueryPlan, probe, probe_keys: np.ndarray
@@ -837,10 +912,10 @@ class FloodIndex(BaseIndex):
 
     # ------------------------------------------------------------------- size
     def size_bytes(self) -> int:
-        """Index footprint: cell table, non-empty cells, flattening models,
-        refinement key, rank permutation and distinct sort values (with
-        each one's offset into the permutation), plus the per-cell PLMs
-        under ``refinement='plm'``.
+        """Index footprint: cell table, non-empty cells, flattening models
+        (with their column edges), refinement key, rank permutation and
+        distinct sort values (with each one's offset into the
+        permutation), plus the per-cell PLMs under ``refinement='plm'``.
 
         Per row, the refinement key costs 8 bytes and the rank permutation
         4 (8 beyond 2**31 rows); each distinct sort value costs 8 plus a

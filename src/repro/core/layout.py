@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +74,11 @@ class GridLayout:
         """Column count for a grid dimension."""
         return self.columns[self.grid_dims.index(dim)]
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Mixed-radix strides: cell_id = sum(col_i * stride_i); the last
-        grid dimension varies fastest."""
+        grid dimension varies fastest. Computed once per layout (every
+        query plan reads them)."""
         strides = []
         acc = 1
         for c in reversed(self.columns):

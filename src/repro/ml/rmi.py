@@ -21,6 +21,8 @@ monotonicity for flattening).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import BuildError
@@ -162,8 +164,6 @@ class RecursiveModelIndex:
         elif v >= knots_x[-1]:
             rank = knots_y[-1]
         else:
-            from bisect import bisect_right
-
             j = bisect_right(knots_x, v)
             x0, x1 = knots_x[j - 1], knots_x[j]
             y0, y1 = knots_y[j - 1], knots_y[j]

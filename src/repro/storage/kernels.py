@@ -318,11 +318,12 @@ class ScanKernel:
         path). ``bounds`` must be non-empty — exact runs are the
         cumulative-aggregate path's business, not ours.
 
-        Decode strategy is ``scan_runs``'s (:func:`gather_runs`): many
-        short runs are gathered into one batch (one ``take`` per
-        dimension), while few or long runs decode as contiguous per-run
-        slices. Either way the filter and the aggregate fuse: no
-        ``values[mask]`` row copies, no per-run visitor dispatch.
+        Decode strategy is ``scan_runs``'s (:func:`gather_runs`, priced
+        by runs times checked dims): many short runs are gathered into
+        one batch (one ``take`` per dimension), while few or long runs
+        decode as contiguous per-run slices. Either way the filter and
+        the aggregate fuse: no ``values[mask]`` row copies, no per-run
+        visitor dispatch.
         """
         kind = _FUSED_KINDS.get(type(visitor))
         if kind is None or not bounds:
@@ -344,7 +345,7 @@ class ScanKernel:
         for dim in dims:
             if table.values(dim, probe, probe + 1).dtype not in _SUPPORTED_DTYPES:
                 return None
-        gathered = gather_runs(runs)
+        gathered = gather_runs(runs, len(bounds))
         if gathered is None:
             total = matched = 0
             for start, stop in runs:

@@ -174,27 +174,31 @@ def split_runs(
     return per_shard
 
 
-#: Runs decode with one gather when there are at least this many of them
-#: and they average fewer than _GATHER_MAX_RUN rows each.
+#: Runs decode with one gather when their count times the columns read
+#: per row is at least _GATHER_MIN_RUNS and they average fewer than
+#: _GATHER_MAX_RUN rows each.
 _GATHER_MIN_RUNS = 8
 _GATHER_MAX_RUN = 256
 
 
 def gather_runs(
-    runs: list[tuple[int, int]]
+    runs: list[tuple[int, int]], dims: int = 1
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Row ids of ``runs`` concatenated, when one gathered decode pays.
 
     Many short runs — the typical shape after per-cell sort-dimension
     refinement — decode faster with one ``take`` per dimension than with
     one slice decode per run per dimension; a gather over few or long
-    runs costs more than the slices it replaces. Returns ``(indices,
-    offsets)``, where ``offsets[i]`` is run ``i``'s first position in
-    ``indices``, or ``None`` when the runs should decode as contiguous
-    slices (also whenever a run is empty: ``np.add.reduceat`` misreads
-    zero-length segments).
+    runs costs more than the slices it replaces. The price is per run
+    *and* per column read (``dims``: the checked dims, or the one
+    aggregated column of an exact group), since the slices are: three
+    short runs checked on three dims gather, three checked on one do not.
+    Returns ``(indices, offsets)``, where ``offsets[i]`` is run ``i``'s
+    first position in ``indices``, or ``None`` when the runs should
+    decode as contiguous slices (also whenever a run is empty:
+    ``np.add.reduceat`` misreads zero-length segments).
     """
-    if len(runs) < _GATHER_MIN_RUNS:
+    if len(runs) * dims < _GATHER_MIN_RUNS:
         return None
     starts = np.array([start for start, _ in runs], dtype=np.int64)
     lengths = np.array([stop for _, stop in runs], dtype=np.int64) - starts
@@ -218,11 +222,9 @@ _GROUP_VISITORS = frozenset(
 
 def _reads_rows(visitor: Visitor, table: Table) -> bool:
     """Whether a group visitor's per-run ``visit`` on an exact run reads
-    row values: not COUNT (a run's length is its count), nor a SUM or AVG
-    that the table's prefix column answers per run in O(1)."""
+    row values: not a SUM or AVG that the table's prefix column answers
+    per run in O(1). (COUNT never gets here.)"""
     kind = type(visitor)
-    if kind is CountVisitor:
-        return False
     if kind in (SumVisitor, AvgVisitor):
         sums = visitor._sum if kind is AvgVisitor else visitor
         return not (sums.use_cumulative and table.has_cumulative(sums.dim))
@@ -249,9 +251,11 @@ def scan_runs(
     ``visit_rows`` with the ascending ids of every matching row: one
     ``take`` of the aggregate column replaces a slice decode per run. A
     gathered group, exact or masked, passes its gathered row ids; long
-    masked runs pass only their matched rows. COUNT keeps the per-run
-    loop where that costs no decode (long runs, exact runs), and so does
-    a SUM or AVG answered from a prefix column. Any other visitor gets one
+    masked runs pass only their matched rows. COUNT over exact runs adds
+    up their lengths once; over masked runs that do not gather it keeps
+    the per-run loop (counting a mask decodes no aggregate column), and
+    a SUM or AVG over exact runs answered from a prefix column keeps it
+    too. Any other visitor gets one
     ``visit`` per run that matched.
 
     Parameters
@@ -285,6 +289,10 @@ def scan_runs(
     """
     grouped = type(visitor) in _GROUP_VISITORS
     if not bounds:
+        if type(visitor) is CountVisitor:
+            scanned = sum([stop - start for start, stop in runs])
+            visitor.count += scanned
+            return scanned, scanned
         if grouped and _reads_rows(visitor, table):
             gathered = gather_runs(runs)
             if gathered is not None:
@@ -302,7 +310,7 @@ def scan_runs(
             if stats is not None:
                 stats.kernel_groups += 1
             return fused
-    gathered = gather_runs(runs)
+    gathered = gather_runs(runs, len(bounds))
     if gathered is not None:
         indices, offsets = gathered
         mask = residual_mask(table, bounds, 0, 0, indices)

@@ -286,13 +286,127 @@ class TestPlanRefineProperty:
             assert getattr(stats, attr) == getattr(reference, attr), attr
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        columns=st.tuples(st.integers(16, 48), st.integers(16, 48)),
+        refinement=st.sampled_from(["binary", "plm", "none"]),
+        forced=st.sampled_from([None, "key", "rank"]),
+        float_sort=st.booleans(),
+        grid_shapes=st.lists(
+            st.sampled_from(("skip", "skip", "inner", "sub", "below", "above")),
+            min_size=2,
+            max_size=2,
+        ),
+        sort_shape=st.sampled_from(("point", "sub", "inner", "below", "domain")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_first_plans_match_percell(
+        self, n, columns, refinement, forced, float_sort, grid_shapes, sort_shape, seed
+    ):
+        """Fine grids, where sort-only plans span most non-empty cells and
+        ``plan`` may refine by rank itself (priced, or forced either way);
+        grid bounds outside the data leave the cell-id slice empty. A plan
+        that comes back refined is left alone by ``refine_plan``."""
+        import copy
+
+        from repro.query.stats import QueryStats
+        from repro.storage.table import Table
+        from repro.storage.visitor import CollectVisitor
+
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 500, size=n)
+        y = rng.integers(0, 500, size=n)
+        if float_sort:
+            z = rng.normal(500.0, 200.0, size=n)
+        else:
+            z = rng.integers(0, 30, size=n)
+        table = Table({"x": x, "y": y, "z": z})
+        layout = GridLayout(DIMS, columns)
+        index = FloodIndex(layout, refinement=refinement).build(table)
+        ranges = {
+            dim: _shaped_range(shape, table.values(dim), rng)
+            for dim, shape in zip(("x", "y"), grid_shapes)
+            if shape != "skip"
+        }
+        ranges["z"] = _shaped_range(sort_shape, z, rng)
+        query = Query(ranges)
+        if forced is None:
+            plan = index.plan(query)
+        else:
+            plan = _forced_plan(index, query, forced)
+        if refinement == "plm" or (refinement == "binary" and forced == "key"):
+            assert plan.refine
+        if refinement == "none":
+            assert not plan.refine
+        refined = not plan.refine
+        before = copy.copy(plan)
+        index.refine_plan(plan)
+        if refined:
+            for attr in ("cells", "starts", "stops", "codes"):
+                assert getattr(plan, attr) is getattr(before, attr), attr
+        fast, stats = CollectVisitor(), QueryStats()
+        index.execute_plan(plan, query, fast, stats)
+        slow = CollectVisitor()
+        reference = index.query_percell(query, slow)
+        assert np.array_equal(np.sort(fast.result), np.sort(slow.result))
+        assert plan.cells_enumerated == reference.cells_visited
+        for attr in ("points_scanned", "points_matched", "exact_points"):
+            assert getattr(stats, attr) == getattr(reference, attr), attr
+
+
+class TestBoundsBeyondFloatRange:
+    """Integer bounds past the float range (a wire client may send a JSON
+    integer such as 10**400) answer like brute force on grid, sort and
+    unindexed dims under every flattening. Projecting such a grid bound
+    used to raise ``OverflowError`` inside the CDF model."""
+
+    BIG = 10**400
+    BOUNDS = (
+        (-BIG, BIG),
+        (0, BIG),
+        (-BIG, 500),
+        (BIG, BIG + 1),
+        (-BIG - 1, -BIG),
+    )
+
+    @pytest.mark.parametrize("flatten", ["rmi", "quantile", "none", "conditional"])
+    def test_matches_brute_force(self, flatten):
+        table = make_table(n=3000, dims=("x", "y", "z", "w"), seed=8)
+        index = FloodIndex(GridLayout(DIMS, (6, 5)), flatten=flatten).build(table)
+        for dim in ("x", "y", "z", "w"):
+            for bounds in self.BOUNDS:
+                narrowed = {dim: bounds, "y": (100, 800)}
+                for query in (Query({dim: bounds}), Query(narrowed)):
+                    visitor = CountVisitor()
+                    index.query(query, visitor)
+                    expected = int(query.match_mask(index.table).sum())
+                    assert visitor.result == expected, (dim, bounds)
+
+
 #: Sort-dimension bounds of the identity property: data-relative shapes of
 #: ``_shaped_range`` plus bounds far outside any data.
 _SORT_SHAPES = _RANGE_SHAPES[1:] + ("huge", "tiny", "all")
 
 
+def _forced_plan(index, query, path):
+    """``index.plan(query)`` with the refinement path forced through its
+    prices: ``"key"`` prices the rank path beyond any plan (the plan comes
+    back unrefined), ``"rank"`` at nothing (it comes back refined)."""
+    from unittest import mock
+
+    from repro.core import index as flood_index
+
+    prices = {
+        "key": {"_RANK_BASE_NS": 10**18},
+        "rank": {"_RANK_BASE_NS": 0, "_RANK_ROW_NS": 0},
+    }[path]
+    with mock.patch.multiple(flood_index, **prices):
+        return index.plan(query)
+
+
 class TestRankRefinementIdentity:
-    """Both exact refinements, forced on the same plan, give equal arrays."""
+    """Both exact refinements, forced on the same query, give equal arrays."""
 
     def test_rank_permutation_orders_rows_by_rank(self):
         index = _flood(make_table(n=900, seed=1))
@@ -346,12 +460,13 @@ class TestRankRefinementIdentity:
             ranges["z"] = (-(10**12), 10**12)
         else:
             ranges["z"] = _shaped_range(sort_shape, z, rng)
-        plan = index.plan(Query(ranges))
-        assert plan.refine
-        rank_lo, rank_hi = index._rank_range(plan)
-        by_key, by_rank = copy.copy(plan), copy.copy(plan)
-        index._refine_by_key(by_key, rank_lo, rank_hi)
-        index._refine_by_rank(by_rank, rank_lo, rank_hi)
+        query = Query(ranges)
+        unrefined = _forced_plan(index, query, "key")
+        assert unrefined.refine
+        by_key = copy.copy(unrefined)
+        index.refine_plan(by_key)
+        by_rank = _forced_plan(index, query, "rank")
+        assert not by_rank.refine or by_rank.cells.size == 0
         for attr in ("cells", "starts", "stops", "codes"):
             expected, actual = getattr(by_key, attr), getattr(by_rank, attr)
             assert np.array_equal(expected, actual), attr

@@ -1,5 +1,5 @@
-"""The rank refinement: when ``refine_plan`` takes it, and that every way
-of obtaining a built index carries the rank permutation it reads."""
+"""The rank refinement: when ``plan`` takes it, and that every way of
+obtaining a built index carries the rank permutation it reads."""
 
 import numpy as np
 import pytest
@@ -32,15 +32,18 @@ FINE = GridLayout(("x", "y", "z"), (48, 48))
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Count the plans refined by rank (the refinement itself still runs)."""
+    """The planned cell counts of the plans refined by rank (the
+    refinement itself still runs)."""
     calls = []
-    original = FloodIndex._refine_by_rank
+    original = FloodIndex._rank_first
 
-    def spy(self, plan, rank_lo, rank_hi):
-        calls.append(plan.cells.size)
-        return original(self, plan, rank_lo, rank_hi)
+    def spy(self, num_cells, low, high):
+        ranks = original(self, num_cells, low, high)
+        if ranks is not None:
+            calls.append(num_cells)
+        return ranks
 
-    monkeypatch.setattr(FloodIndex, "_refine_by_rank", spy)
+    monkeypatch.setattr(FloodIndex, "_rank_first", spy)
     return calls
 
 
@@ -194,15 +197,18 @@ class TestNanSortValues:
     @pytest.mark.parametrize("path", ["key", "rank"])
     def test_refinement_skips_nan_rows(self, table, path, monkeypatch):
         prefers_rank = path == "rank"
-        monkeypatch.setattr(
-            FloodIndex, "_prefers_rank", lambda self, *args: prefers_rank
-        )
+        # Price the rank path at nothing, or beyond any plan.
+        if prefers_rank:
+            monkeypatch.setattr(flood_index, "_RANK_BASE_NS", 0)
+            monkeypatch.setattr(flood_index, "_RANK_ROW_NS", 0)
+        else:
+            monkeypatch.setattr(flood_index, "_RANK_BASE_NS", 10**18)
         index = FloodIndex(FINE).build(table)
         calls = []
-        original = FloodIndex._refine_by_rank
+        original = FloodIndex._plan_by_rank
         monkeypatch.setattr(
             FloodIndex,
-            "_refine_by_rank",
+            "_plan_by_rank",
             lambda self, *args: calls.append(1) or original(self, *args),
         )
         for ranges in self.QUERIES:

@@ -258,6 +258,29 @@ class TestFactoryFailure:
         asyncio.run(scenario())
 
 
+class TestOutOfRangeBounds:
+    def test_bound_beyond_float_range_leaves_batchmates_answered(self, engine):
+        """Regression: a grid-dim bound past the float range (a JSON
+        integer such as 10**400) raised OverflowError while projecting,
+        failing every request of its micro-batch."""
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch=4, max_delay=1.0)
+            await batcher.start()
+            queries = _queries(engine, 3, seed=12) + [Query({"x": (0, 10**400)})]
+            results = await asyncio.wait_for(
+                asyncio.gather(*[batcher.submit(q) for q in queries]), timeout=5
+            )
+            await batcher.stop()
+            assert [r for r, _ in results[:3]] == [
+                _expected_count(engine, q) for q in queries[:3]
+            ]
+            assert results[3][0] == int(queries[3].match_mask(engine.index.table).sum())
+            assert batcher.stats.batches_dispatched == 1
+
+        asyncio.run(scenario())
+
+
 class TestCancellation:
     def test_client_cancellation_mid_batch(self, engine):
         """A cancelled request disappears; its batchmates are unaffected."""
